@@ -76,21 +76,13 @@ inline void print_round_header(const std::string& label, std::size_t rounds) {
     std::printf("\n");
 }
 
-/// Writes `json` to BENCH_<name>.json in the working directory and echoes
-/// the path, so bench runs leave a machine-readable trail.
+/// Writes `json` to BENCH_<name>.json in the working directory through the
+/// library's checked writer and echoes the path. Any I/O failure throws, so
+/// the bench exits non-zero instead of leaving a stale file for the gate.
 inline void write_bench_json(const std::string& name, const Json& json) {
     const std::string path = "BENCH_" + name + ".json";
-    if (std::FILE* file = std::fopen(path.c_str(), "w")) {
-        const std::string text = json.dump();
-        std::fwrite(text.data(), 1, text.size(), file);
-        std::fputc('\n', file);
-        std::fclose(file);
-        std::printf("\n[bench json] wrote %s (%zu bytes)\n", path.c_str(),
-                    text.size() + 1);
-    } else {
-        std::printf("\n[bench json] could not open %s for writing\n",
-                    path.c_str());
-    }
+    core::write_scenario_json(path, json);
+    std::printf("\n[bench json] wrote %s\n", path.c_str());
 }
 
 }  // namespace bcfl::bench

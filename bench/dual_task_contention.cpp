@@ -3,15 +3,11 @@
 // similar research with simulation experiments do not encounter."
 //
 // (a) a single miner under increasing training CPU load: block interval
-//     inflates as 1/(1-load);
-// (b) the full three-peer deployment with and without contention: per-round
-//     wall clock grows when peers mine and train on the same CPU. The
-//     deployment runs the paper's default policies from the factory
-//     (paper_chain_config: "wait_all" + "best_combination").
+//     inflates as 1/(1-load). The full-deployment half (b) is the
+//     scenarios/paper_contention.json spec.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
-#include "core/paper_setup.hpp"
 #include "net/sim_transport.hpp"
 
 namespace {
@@ -19,7 +15,6 @@ namespace {
 using namespace bcfl;
 
 bench::Json g_miner_points = bench::Json::array();
-bench::Json g_deployment_points = bench::Json::array();
 
 void BM_MinerUnderLoad(benchmark::State& state) {
     for (auto _ : state) {
@@ -54,37 +49,9 @@ void BM_MinerUnderLoad(benchmark::State& state) {
     }
 }
 
-void BM_DeploymentWithContention(benchmark::State& state) {
-    const auto data = ml::make_synthetic_cifar(core::paper_data_config());
-    const fl::FlTask task = core::paper_simple_task(data);
-    for (auto _ : state) {
-        bench::print_title(
-            "E5b — full deployment: dual-duty contention vs dedicated roles "
-            "(Simple NN, 4 rounds)");
-        std::printf("%24s %18s %18s %14s\n", "training cpu load",
-                    "round time (s)", "wait time (s)", "chain height");
-        for (double load : {0.0, 0.8, 0.95}) {
-            core::DecentralizedConfig config = core::paper_chain_config();
-            config.rounds = 4;
-            config.train_cpu_load = load;
-            const auto result = core::run_decentralized(task, config);
-            std::printf("%24.2f %18.1f %18.1f %14llu\n", load,
-                        result.mean_round_seconds, result.mean_wait_seconds,
-                        static_cast<unsigned long long>(result.chain_height));
-            g_deployment_points.push(
-                bench::Json::object()
-                    .set("train_cpu_load", load)
-                    .set("mean_round_s", result.mean_round_seconds)
-                    .set("mean_wait_s", result.mean_wait_seconds)
-                    .set("chain_height", result.chain_height));
-        }
-    }
-}
-
 }  // namespace
 
 BENCHMARK(BM_MinerUnderLoad)->Unit(benchmark::kSecond)->Iterations(1);
-BENCHMARK(BM_DeploymentWithContention)->Unit(benchmark::kSecond)->Iterations(1);
 
 int main(int argc, char** argv) {
     benchmark::Initialize(&argc, argv);
@@ -94,8 +61,6 @@ int main(int argc, char** argv) {
         "dual_task_contention",
         bench::Json::object()
             .set("bench", "dual_task_contention")
-            .set("miner_under_load", std::move(g_miner_points))
-            .set("deployment_with_contention",
-                 std::move(g_deployment_points)));
+            .set("miner_under_load", std::move(g_miner_points)));
     return 0;
 }

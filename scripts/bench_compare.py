@@ -9,9 +9,12 @@ JSON trees are walked in parallel and every leaf whose key matches a
 *gated* pattern is compared. Two gate kinds:
 
 * tolerance — numeric leaves whose path mentions accuracy / fitness (the
-  precision trajectory the paper is about): the build FAILS if the fresh
-  value regresses below baseline - max(atol, rtol*|baseline|).
-  Improvements are reported and pass.
+  precision half of the paper's claim): the build FAILS if the fresh
+  value regresses below baseline - max(atol, rtol*|baseline|). Leaves
+  named mean_round_s (the speed half; simulated seconds, deterministic,
+  carried only by scenario documents) gate the same way with the
+  direction flipped: a rise past baseline + slack FAILS. Improvements
+  are reported and pass.
 * exact — any leaf (numeric or string) whose path mentions "parity":
   deterministic counts and ordering digests (e.g. the chain bench's
   canonical-tx digest) that must match the baseline byte-for-byte in
@@ -35,6 +38,7 @@ import os
 import sys
 
 GATED_SUBSTRINGS = ("accuracy", "fitness")
+LOWER_IS_BETTER_LEAVES = ("mean_round_s",)
 EXACT_SUBSTRINGS = ("parity",)
 SKIPPED_SUBSTRINGS = (
     "fingerprint",   # %.17g strings, compiler-specific in the last ulps
@@ -46,14 +50,17 @@ SKIPPED_SUBSTRINGS = (
 
 
 def gate_kind(path: str):
-    """Returns "exact", "tolerance" or None for a leaf path."""
+    """Returns "exact", "higher" or "lower" (tolerance-gated, in the
+    direction that is better), or None for a leaf path."""
     lowered = path.lower()
     if any(s in lowered for s in SKIPPED_SUBSTRINGS):
         return None
     if any(s in lowered for s in EXACT_SUBSTRINGS):
         return "exact"
     if any(s in lowered for s in GATED_SUBSTRINGS):
-        return "tolerance"
+        return "higher"
+    if lowered.rsplit(".", 1)[-1] in LOWER_IS_BETTER_LEAVES:
+        return "lower"
     return None
 
 
@@ -93,7 +100,7 @@ def compare_file(fresh_path, baseline_path, rtol, atol):
         kind = gate_kind(path)
         if kind is None:
             continue
-        if kind == "tolerance" and isinstance(base_value, str):
+        if kind != "exact" and isinstance(base_value, str):
             continue  # tolerance gating is numeric-only
         fresh_value = fresh_leaves.get(path)
         if fresh_value is None:
@@ -120,13 +127,14 @@ def compare_file(fresh_path, baseline_path, rtol, atol):
             continue
         slack = max(atol, rtol * abs(base_value))
         delta = fresh_value - base_value
-        if fresh_value < base_value - slack:
+        gain = delta if kind == "higher" else -delta
+        if gain < -slack:
             status = "REGRESSION"
             failures.append(
                 f"{path}: {base_value:.6g} -> {fresh_value:.6g} "
                 f"(allowed slack {slack:.3g})"
             )
-        elif delta > slack:
+        elif gain > slack:
             status = "improved"
         else:
             status = "ok"
@@ -186,7 +194,7 @@ def main() -> int:
         print("bench_compare: nothing to compare (no fresh file has a baseline)")
         return 1
     if any_failure:
-        print("bench_compare: FAILED — precision or parity regressed "
+        print("bench_compare: FAILED — precision, round time or parity regressed "
               "against bench/baselines")
         return 1
     print(f"bench_compare: all green ({compared} file(s) within tolerance)")

@@ -26,6 +26,11 @@
 #    hierarchical_ci_smoke spec (flat-vs-clustered sweep) run end-to-end
 #    at BCFL_THREADS=1 and 8 — each pair of JSON documents must be
 #    byte-identical (the scenario engine's determinism contract).
+# 4b. Paper specs: the scenarios/paper_*.json ports of the paper's
+#    experiments (E2 Tables II-IV/Fig. 4 for both models, E5b contention,
+#    E7 poisoning, E8 staleness, the E4 trade-off) run once each so the
+#    baseline gate can check them; the E4 EffNet sweep (21.2 MB payloads,
+#    minutes) runs only without --fast.
 # 5. Chain parity: the deterministic long-chain and peers-axis scaling
 #    sections of the chain bench run
 #    (BCFL_CHAIN_BENCH_SECTIONS=long_chain,scaling) so their counts and
@@ -35,7 +40,8 @@
 #    be gated against the baseline.
 # 7. Bench-baseline gate: scripts/bench_compare.py diffs the fresh
 #    BENCH_*.json against bench/baselines/ and fails on any
-#    accuracy/fitness regression or chain/analyzer-parity mismatch.
+#    accuracy/fitness regression, simulated round-time (mean_round_s)
+#    increase, or chain/analyzer-parity mismatch.
 # 8. A second configure with -Wall -Wextra -Werror to keep the tree
 #    warning-clean.
 set -euo pipefail
@@ -145,6 +151,19 @@ if ! cmp -s build/BENCH_scenario_hierarchical_ci_smoke.threads1.json \
 fi
 echo "hierarchical scenario JSON byte-identical across thread counts"
 
+echo "== paper specs: the paper's experiments as gated scenario documents =="
+paper_specs=(paper_decentralized_simple paper_decentralized_effnet
+  paper_contention paper_poisoning paper_staleness paper_tradeoff)
+if [ "${FAST}" -eq 0 ]; then
+  paper_specs+=(paper_tradeoff_effnet)
+fi
+paper_docs=()
+for spec in "${paper_specs[@]}"; do
+  (cd build && ./examples/bcfl_scenario "../scenarios/${spec}.json" \
+    --out="BENCH_scenario_${spec}.json" >/dev/null)
+  paper_docs+=("build/BENCH_scenario_${spec}.json")
+done
+
 echo "== chain parity: deterministic long-chain + peers-axis scaling sections =="
 (cd build && BCFL_CHAIN_BENCH_SECTIONS=long_chain,scaling \
   ./bench/chain_performance >/dev/null)
@@ -156,6 +175,7 @@ echo "== bench-baseline gate: fresh JSON vs bench/baselines =="
 python3 scripts/bench_compare.py build/BENCH_micro_substrates.json \
   build/BENCH_scenario_ci_smoke.json \
   build/BENCH_scenario_hierarchical_ci_smoke.json \
+  "${paper_docs[@]}" \
   build/BENCH_chain_performance.json \
   build/BENCH_vm_analysis.json
 

@@ -13,10 +13,6 @@
 
 #include "chain/blockchain.hpp"
 #include "crypto/merkle.hpp"
-// Legacy upward edge, pinned (same exception as core/peer.hpp): audit
-// proofs are built from a node::Node's live chain view. Any NEW
-// core/ → node/ include fails the layering lint.
-// bcfl-lint: allow(layering)
 #include "node/node.hpp"
 
 namespace bcfl::core {

@@ -915,6 +915,96 @@ void append_fingerprint(std::string& out, double value) {
     out += buffer;
 }
 
+/// Reduction of the aggregated rounds of one subset of peers.
+struct RecordReduction {
+    double final_accuracy = 0.0;  // mean over peers of their last round
+    double mean_round_s = 0.0;
+    double mean_models_used = 0.0;
+    std::uint64_t stale_models_used = 0;
+    std::uint64_t timeout_rounds = 0;
+    std::uint64_t filtered_models = 0;
+    std::uint64_t aggregated_rounds = 0;
+};
+
+/// Reduces the records of every peer whose roster index is not in
+/// `excluded`; appends each chosen accuracy to `fingerprint` when given.
+RecordReduction reduce_records(const DecentralizedResult& result,
+                               const std::vector<std::size_t>& excluded,
+                               std::string* fingerprint) {
+    RecordReduction out;
+    std::size_t final_samples = 0;
+    double round_s = 0.0;
+    double models = 0.0;
+    for (std::size_t peer = 0; peer < result.peer_records.size(); ++peer) {
+        if (std::find(excluded.begin(), excluded.end(), peer) !=
+            excluded.end()) {
+            continue;
+        }
+        const PeerRoundRecord* last = nullptr;
+        for (const PeerRoundRecord& record : result.peer_records[peer]) {
+            if (record.aggregated_at == 0) continue;
+            last = &record;
+            round_s +=
+                net::to_seconds(record.aggregated_at - record.round_started);
+            models += static_cast<double>(record.models_available);
+            out.stale_models_used += record.stale_models_used;
+            out.filtered_models += record.filtered_out.size();
+            if (record.timed_out) ++out.timeout_rounds;
+            ++out.aggregated_rounds;
+            if (fingerprint != nullptr) {
+                append_fingerprint(*fingerprint, record.chosen_accuracy);
+            }
+        }
+        if (last != nullptr) {
+            out.final_accuracy += last->chosen_accuracy;
+            ++final_samples;
+        }
+    }
+    if (final_samples > 0) {
+        out.final_accuracy /= static_cast<double>(final_samples);
+    }
+    if (out.aggregated_rounds > 0) {
+        const auto n = static_cast<double>(out.aggregated_rounds);
+        out.mean_round_s = round_s / n;
+        out.mean_models_used = models / n;
+    }
+    return out;
+}
+
+/// The Figure 4 summary over every record that scored more than one
+/// combination: how often the widest ("full") row was the best one, and
+/// the mean accuracy gap between it and the narrowest ("self") row.
+std::optional<JsonValue> figure4_json(const DecentralizedResult& result) {
+    std::uint64_t full_wins = 0;
+    std::uint64_t peer_rounds = 0;
+    double full_minus_self = 0.0;
+    for (const auto& records : result.peer_records) {
+        for (const PeerRoundRecord& record : records) {
+            const std::vector<ComboAccuracy>& rows = record.combos;
+            if (rows.size() < 2) continue;
+            std::size_t best = 0;
+            std::size_t full = 0;
+            std::size_t self = 0;
+            for (std::size_t i = 1; i < rows.size(); ++i) {
+                if (rows[i].accuracy > rows[best].accuracy) best = i;
+                if (rows[i].combo.size() > rows[full].combo.size()) full = i;
+                if (rows[i].combo.size() < rows[self].combo.size()) self = i;
+            }
+            if (rows[best].combo.size() == rows[full].combo.size()) {
+                ++full_wins;
+            }
+            full_minus_self += rows[full].accuracy - rows[self].accuracy;
+            ++peer_rounds;
+        }
+    }
+    if (peer_rounds == 0) return std::nullopt;
+    return JsonValue::object()
+        .set("full_combo_wins", full_wins)
+        .set("peer_rounds", peer_rounds)
+        .set("mean_full_minus_self_accuracy",
+             full_minus_self / static_cast<double>(peer_rounds));
+}
+
 JsonValue point_json(const ScenarioPoint& point,
                      const DecentralizedResult& result) {
     JsonValue overrides = JsonValue::object();
@@ -922,33 +1012,11 @@ JsonValue point_json(const ScenarioPoint& point,
         overrides.set(key, value);
     }
 
-    double final_accuracy = 0.0;
-    std::size_t final_samples = 0;
-    double models = 0.0;
-    std::uint64_t stale = 0;
-    std::uint64_t timeouts = 0;
-    std::size_t aggregated = 0;
-    std::size_t max_rounds = 0;
     std::string fingerprint;
+    const RecordReduction all = reduce_records(result, {}, &fingerprint);
+    std::size_t max_rounds = 0;
     for (const auto& records : result.peer_records) {
         max_rounds = std::max(max_rounds, records.size());
-        const PeerRoundRecord* last = nullptr;
-        for (const PeerRoundRecord& record : records) {
-            if (record.aggregated_at == 0) continue;
-            last = &record;
-            models += static_cast<double>(record.models_available);
-            stale += record.stale_models_used;
-            if (record.timed_out) ++timeouts;
-            ++aggregated;
-            append_fingerprint(fingerprint, record.chosen_accuracy);
-        }
-        if (last != nullptr) {
-            final_accuracy += last->chosen_accuracy;
-            ++final_samples;
-        }
-    }
-    if (final_samples > 0) {
-        final_accuracy /= static_cast<double>(final_samples);
     }
     append_fingerprint(fingerprint, result.mean_round_seconds);
     append_fingerprint(fingerprint, result.mean_wait_seconds);
@@ -973,15 +1041,14 @@ JsonValue point_json(const ScenarioPoint& point,
         .set("wait_policy", point.config.wait_policy)
         .set("aggregation", point.config.aggregation)
         .set("seed", point.config.seed)
-        .set("final_accuracy", final_accuracy)
+        .set("final_accuracy", all.final_accuracy)
         .set("round_accuracy", std::move(round_accuracy))
         .set("mean_round_s", result.mean_round_seconds)
         .set("mean_wait_s", result.mean_wait_seconds)
-        .set("mean_models_used",
-             aggregated ? models / static_cast<double>(aggregated) : 0.0)
-        .set("stale_models_used", stale)
-        .set("timeout_rounds", timeouts)
-        .set("aggregated_rounds", static_cast<std::uint64_t>(aggregated))
+        .set("mean_models_used", all.mean_models_used)
+        .set("stale_models_used", all.stale_models_used)
+        .set("timeout_rounds", all.timeout_rounds)
+        .set("aggregated_rounds", all.aggregated_rounds)
         .set("duration_s", net::to_seconds(result.finished_at))
         .set("chain_height", result.chain_height)
         .set("reorgs", result.total_reorgs)
@@ -1005,6 +1072,26 @@ JsonValue point_json(const ScenarioPoint& point,
                                                  topo.max_cluster_size()))
                     .set("top_head",
                          static_cast<std::uint64_t>(topo.top_head)));
+    }
+    // Honest-peer means leave the stragglers and poisoners out, so the
+    // paper's comparisons read the peers the policy is meant to serve.
+    std::vector<std::size_t> excluded = point.config.stragglers;
+    excluded.insert(excluded.end(), point.config.poisoned_peers.begin(),
+                    point.config.poisoned_peers.end());
+    if (!excluded.empty()) {
+        const RecordReduction honest =
+            reduce_records(result, excluded, nullptr);
+        out.set("honest",
+                JsonValue::object()
+                    .set("final_accuracy", honest.final_accuracy)
+                    .set("mean_round_s", honest.mean_round_s)
+                    .set("mean_models_used", honest.mean_models_used)
+                    .set("stale_models_used", honest.stale_models_used)
+                    .set("timeout_rounds", honest.timeout_rounds)
+                    .set("filtered_models", honest.filtered_models));
+    }
+    if (std::optional<JsonValue> figure4 = figure4_json(result)) {
+        out.set("figure4", std::move(*figure4));
     }
     return out;
 }

@@ -1,9 +1,8 @@
 // Allow-escape fixture for the `layering` rule: the same upward include
-// as bad_layering.cpp, suppressed by an explicit allow comment (the
-// mechanism the two pinned legacy edges in the real tree use). Must
+// as bad_layering.cpp, suppressed by an explicit allow comment. Must
 // produce no findings.
 // bcfl-lint: allow(layering)
-#include "node/node.hpp"
+#include "core/peer.hpp"
 
 namespace bcfl::fixture {
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/parallel.hpp"
@@ -320,6 +323,26 @@ TEST(ScenarioSpec, ParsesNetworkConditions) {
     EXPECT_TRUE(conditions.offline(1, net::seconds(35)));
 }
 
+TEST(ScenarioSpec, EveryCheckedInSpecLoadsAndExpands) {
+    std::vector<std::filesystem::path> specs;
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::filesystem::path(BCFL_SOURCE_DIR) / "scenarios")) {
+        if (entry.path().extension() == ".json") {
+            specs.push_back(entry.path());
+        }
+    }
+    std::sort(specs.begin(), specs.end());
+    ASSERT_GE(specs.size(), 17u);
+    for (const std::filesystem::path& path : specs) {
+        SCOPED_TRACE(path.string());
+        ScenarioSpec spec;
+        ASSERT_NO_THROW(spec = load_scenario_file(path.string()));
+        // The output file is named after the spec, so the two must agree.
+        EXPECT_EQ(spec.name, path.stem().string());
+        EXPECT_FALSE(expand_grid(spec).empty());
+    }
+}
+
 TEST(ScenarioSpec, GridExpandsInDeclarationOrderLastAxisFastest) {
     const ScenarioSpec spec = parse_scenario(minimal_spec(
         R"(,"sweep":{"loss":[0.0,0.5],"seed":[1,2]})"));
@@ -405,6 +428,162 @@ TEST(ScenarioRun, DocumentCarriesPointsWithFaultMetrics) {
     }
     EXPECT_GE(points[1].find("messages_dropped")->as_u64("d"),
               points[0].find("messages_dropped")->as_u64("d"));
+}
+
+// ------------------------------------------- honest and figure4 subtrees
+
+/// The point keys every document carried before the optional subtrees.
+const std::vector<std::string> kPointKeys = {
+    "label", "overrides", "wait_policy", "aggregation", "seed",
+    "final_accuracy", "round_accuracy", "mean_round_s", "mean_wait_s",
+    "mean_models_used", "stale_models_used", "timeout_rounds",
+    "aggregated_rounds", "duration_s", "chain_height", "reorgs",
+    "messages_sent", "messages_delivered", "messages_dropped",
+    "dropped_partition", "dropped_offline", "bytes_sent",
+    "fitness_fingerprint"};
+
+std::vector<std::string> member_keys(const JsonValue& object) {
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : object.members("point")) {
+        keys.push_back(key);
+    }
+    return keys;
+}
+
+std::vector<std::string> with_keys(std::vector<std::string> keys,
+                                   std::initializer_list<const char*> extra) {
+    keys.insert(keys.end(), extra.begin(), extra.end());
+    return keys;
+}
+
+struct SubtreeRun {
+    JsonValue point;
+    DecentralizedResult result;
+};
+
+/// Runs a one-point spec through the engine, and its config directly, so
+/// the document can be checked against the raw records.
+SubtreeRun run_subtree_spec(const std::string& extra) {
+    const ScenarioSpec spec = parse_scenario(
+        R"({"name":"subtrees","rounds":2,"seed":5,"train_seconds":10,)"
+        R"("max_sim_seconds":3000)" + extra + "}");
+    const fl::FlTask task = tiny_task();
+    const JsonValue doc = run_scenario(spec, task);
+    const auto& points = doc.find("points")->items("points");
+    EXPECT_EQ(points.size(), 1u);
+    return {points.front(),
+            run_decentralized(task, expand_grid(spec).front().config)};
+}
+
+TEST(ScenarioSubtrees, PlainSingleComboSpecKeepsTheLegacyPointKeys) {
+    const SubtreeRun run = run_subtree_spec(
+        R"(,"wait_policy":"wait_all,timeout=300s","aggregation":"fedavg_all")");
+    EXPECT_EQ(member_keys(run.point), kPointKeys);
+    // The all-peer keys still reduce every peer's last aggregated round.
+    double accuracy = 0.0;
+    for (const auto& records : run.result.peer_records) {
+        accuracy += records.back().chosen_accuracy;
+    }
+    EXPECT_DOUBLE_EQ(
+        run.point.find("final_accuracy")->as_double("final_accuracy"),
+        accuracy / static_cast<double>(run.result.peer_records.size()));
+    EXPECT_DOUBLE_EQ(run.point.find("mean_round_s")->as_double("round"),
+                     run.result.mean_round_seconds);
+}
+
+TEST(ScenarioSubtrees, HonestSubtreeAppearsForPoisonersOnly) {
+    const SubtreeRun run = run_subtree_spec(
+        R"(,"wait_policy":"wait_all,timeout=300s","aggregation":"fedavg_all",)"
+        R"("poisoned_peers":[1])");
+    EXPECT_EQ(member_keys(run.point), with_keys(kPointKeys, {"honest"}));
+    EXPECT_EQ(member_keys(*run.point.find("honest")),
+              (std::vector<std::string>{
+                  "final_accuracy", "mean_round_s", "mean_models_used",
+                  "stale_models_used", "timeout_rounds", "filtered_models"}));
+}
+
+TEST(ScenarioSubtrees, HonestAndFigure4MatchAHandReductionOfTheRecords) {
+    const SubtreeRun run = run_subtree_spec(
+        R"(,"wait_policy":"wait_for=2,timeout=90s",)"
+        R"("aggregation":"best_combination,fitness=0.12",)"
+        R"("stragglers":[2],"straggler_train_seconds":40)");
+    ASSERT_EQ(member_keys(run.point),
+              with_keys(kPointKeys, {"honest", "figure4"}));
+
+    // Honest peers are 0 and 1; peer 2 is the straggler.
+    double final_accuracy = 0.0;
+    double round_s = 0.0;
+    double models = 0.0;
+    std::uint64_t stale = 0;
+    std::uint64_t timeouts = 0;
+    std::uint64_t filtered = 0;
+    std::size_t samples = 0;
+    for (std::size_t peer = 0; peer < 2; ++peer) {
+        const auto& records = run.result.peer_records[peer];
+        final_accuracy += records.back().chosen_accuracy;
+        for (const PeerRoundRecord& record : records) {
+            ASSERT_NE(record.aggregated_at, net::SimTime{0});
+            round_s +=
+                net::to_seconds(record.aggregated_at - record.round_started);
+            models += static_cast<double>(record.models_available);
+            stale += record.stale_models_used;
+            filtered += record.filtered_out.size();
+            if (record.timed_out) ++timeouts;
+            ++samples;
+        }
+    }
+    const JsonValue& honest = *run.point.find("honest");
+    EXPECT_DOUBLE_EQ(honest.find("final_accuracy")->as_double("a"),
+                     final_accuracy / 2.0);
+    EXPECT_DOUBLE_EQ(honest.find("mean_round_s")->as_double("r"),
+                     round_s / static_cast<double>(samples));
+    EXPECT_DOUBLE_EQ(honest.find("mean_models_used")->as_double("m"),
+                     models / static_cast<double>(samples));
+    EXPECT_EQ(honest.find("stale_models_used")->as_u64("s"), stale);
+    EXPECT_EQ(honest.find("timeout_rounds")->as_u64("t"), timeouts);
+    EXPECT_EQ(honest.find("filtered_models")->as_u64("f"), filtered);
+    // The straggler's slow rounds are what the honest mean leaves out.
+    EXPECT_LT(honest.find("mean_round_s")->as_double("r"),
+              run.point.find("mean_round_s")->as_double("r"));
+
+    // Figure 4: per record with a combination search, did a widest row win,
+    // and how far is the full row above the size-1 self row?
+    std::uint64_t wins = 0;
+    std::uint64_t peer_rounds = 0;
+    double gap = 0.0;
+    for (const auto& records : run.result.peer_records) {
+        for (const PeerRoundRecord& record : records) {
+            if (record.combos.size() < 2) continue;
+            std::size_t widest = 0;
+            for (const ComboAccuracy& row : record.combos) {
+                widest = std::max(widest, row.combo.size());
+            }
+            double self_acc = 0.0;
+            double full_acc = -1.0;
+            double best = -1.0;
+            std::size_t best_width = 0;
+            for (const ComboAccuracy& row : record.combos) {
+                if (row.combo.size() == 1) self_acc = row.accuracy;
+                if (row.combo.size() == widest && full_acc < 0.0) {
+                    full_acc = row.accuracy;
+                }
+                if (row.accuracy > best) {
+                    best = row.accuracy;
+                    best_width = row.combo.size();
+                }
+            }
+            if (best_width == widest) ++wins;
+            gap += full_acc - self_acc;
+            ++peer_rounds;
+        }
+    }
+    ASSERT_GT(peer_rounds, 0u);
+    const JsonValue& figure4 = *run.point.find("figure4");
+    EXPECT_EQ(figure4.find("full_combo_wins")->as_u64("w"), wins);
+    EXPECT_EQ(figure4.find("peer_rounds")->as_u64("p"), peer_rounds);
+    EXPECT_DOUBLE_EQ(
+        figure4.find("mean_full_minus_self_accuracy")->as_double("g"),
+        gap / static_cast<double>(peer_rounds));
 }
 
 }  // namespace
