@@ -110,7 +110,7 @@ WHITELIST = {
     "bench/chain_performance.cpp": {"nondeterminism"},
     # The wall-clock transport backend IS the nondeterminism boundary: it
     # owns the steady clock that the deterministic rules exist to keep out
-    # of everything else. Its delivery/reader/dispatch threads are NOT
+    # of everything else. Its one loop thread per node is NOT
     # blanket-exempted: each std::thread line carries its own
     # `allow(raw-thread)` so an accidental spawn elsewhere in these files
     # still fires.

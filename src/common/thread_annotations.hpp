@@ -50,15 +50,6 @@
 /// guard: it acquires the capability itself).
 #define BCFL_EXCLUDES(...) BCFL_TSA(locks_excluded(__VA_ARGS__))
 
-/// Pins lock-ordering on a mutex member: this mutex is always acquired
-/// before the named one. Violations of the declared hierarchy are
-/// -Wthread-safety errors.
-#define BCFL_ACQUIRED_BEFORE(...) BCFL_TSA(acquired_before(__VA_ARGS__))
-
-/// Dual of BCFL_ACQUIRED_BEFORE: this mutex is acquired after the named
-/// one.
-#define BCFL_ACQUIRED_AFTER(...) BCFL_TSA(acquired_after(__VA_ARGS__))
-
 /// Function returning a reference to the capability that guards its
 /// result (accessor pattern).
 #define BCFL_RETURN_CAPABILITY(x) BCFL_TSA(lock_returned(x))

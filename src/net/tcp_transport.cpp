@@ -3,12 +3,15 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
+#include <string>
+#include <system_error>
 #include <utility>
 
 #include "common/error.hpp"
@@ -18,6 +21,15 @@ namespace bcfl::net {
 namespace {
 
 constexpr std::size_t kFrameHeaderBytes = 4;
+/// A header announcing more is a protocol error that takes the link down.
+/// Generous: a padded EfficientNet-B0 chunk tx is ~24 KiB, a whole block a
+/// few MiB.
+constexpr std::uint32_t kMaxFrameBytes = 256u * 1024 * 1024;
+/// Cap on a link's write queue. It holds one maximum frame, so only a
+/// backlog behind a peer that stopped reading overflows it.
+constexpr std::size_t kMaxQueuedBytes = kFrameHeaderBytes + kMaxFrameBytes;
+/// Most bytes one loop pass reads from one socket.
+constexpr std::size_t kReadChunkBytes = std::size_t{256} * 1024;
 
 // Heap order for the per-node timer vector: std::push_heap builds a
 // max-heap, so "greater" comparison yields a min-heap on (when, seq).
@@ -26,36 +38,6 @@ const auto timer_later = [](const auto& a, const auto& b) {
     if (a.when != b.when) return a.when > b.when;
     return a.seq > b.seq;
 };
-
-/// Writes the whole buffer, riding out EINTR and partial sends. Returns
-/// false on a dead connection.
-bool send_all(int fd, const std::uint8_t* data, std::size_t size) {
-    while (size > 0) {
-        const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            return false;
-        }
-        data += n;
-        size -= static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-/// Reads exactly `size` bytes; false on EOF or error.
-bool recv_all(int fd, std::uint8_t* data, std::size_t size) {
-    while (size > 0) {
-        const ssize_t n = ::recv(fd, data, size, 0);
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            return false;
-        }
-        if (n == 0) return false;  // orderly shutdown
-        data += n;
-        size -= static_cast<std::size_t>(n);
-    }
-    return true;
-}
 
 void encode_u32(std::uint8_t* out, std::uint32_t v) {
     out[0] = static_cast<std::uint8_t>(v);
@@ -71,12 +53,62 @@ std::uint32_t decode_u32(const std::uint8_t* in) {
            static_cast<std::uint32_t>(in[3]) << 24;
 }
 
+Error socket_error(const std::string& call) {
+    return Error("tcp transport: " + call + " failed: " +
+                 std::error_code(errno, std::system_category()).message());
+}
+
+/// Makes the loop that polls `wake_fd` return.
+void wake(int wake_fd) {
+    const std::uint64_t one = 1;
+    // Fails only on counter overflow, which leaves it readable anyway.
+    [[maybe_unused]] const ssize_t n = ::write(wake_fd, &one, sizeof(one));
+}
+
 }  // namespace
 
-TcpTransport::TcpTransport(TcpTransportConfig config)
-    : config_(std::move(config)), epoch_(Clock::now()) {}
+bool TcpTransport::Outbox::flush(int fd) {
+    while (pending()) {
+        const ssize_t n = ::send(fd, bytes.data() + written,
+                                 bytes.size() - written,
+                                 MSG_NOSIGNAL | MSG_DONTWAIT);
+        if (n < 0) {
+            if (errno == EINTR) continue;
+            if (errno != EAGAIN && errno != EWOULDBLOCK) return false;
+            // Socket full. Dropping the written prefix only once it is most
+            // of the buffer keeps the queue's size and its cost per byte
+            // bounded.
+            if (written > bytes.size() / 2) {
+                const auto taken = static_cast<std::ptrdiff_t>(written);
+                bytes.erase(bytes.begin(), bytes.begin() + taken);
+                written = 0;
+            }
+            return true;
+        }
+        written += static_cast<std::size_t>(n);
+    }
+    bytes.clear();
+    written = 0;
+    return true;
+}
 
-TcpTransport::~TcpTransport() { stop(); }
+void TcpTransport::Outbox::take_down(int fd) {
+    down = true;
+    bytes = {};
+    written = 0;
+    // The peer reads EOF and takes its end down too.
+    if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
+}
+
+TcpTransport::~TcpTransport() {
+    stop();
+    for (auto& state : nodes_) {
+        for (const Link& link : state->links) {
+            if (link.fd >= 0) ::close(link.fd);
+        }
+        ::close(state->wake_fd);
+    }
+}
 
 NodeId TcpTransport::add_node(Receiver receiver) {
     if (started_.load()) {
@@ -84,44 +116,13 @@ NodeId TcpTransport::add_node(Receiver receiver) {
     }
     auto state = std::make_unique<NodeState>();
     state->receiver = std::move(receiver);
-
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) throw Error("tcp transport: socket() failed");
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = 0;  // ephemeral
-    if (::inet_pton(AF_INET, config_.bind_address.c_str(), &addr.sin_addr) !=
-        1) {
-        ::close(fd);
-        throw Error("tcp transport: bad bind address " + config_.bind_address);
-    }
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
-            0 ||
-        ::listen(fd, 64) < 0) {
-        ::close(fd);
-        // strerror: add_node runs on the single setup thread, before any
-        // transport thread exists, so the static buffer is uncontended.
-        throw Error("tcp transport: bind/listen failed: " +
-                    std::string(
-                        std::strerror(errno)));  // NOLINT(concurrency-mt-unsafe)
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len);
-    state->listen_fd = fd;
-    state->port = ntohs(bound.sin_port);
-
+    state->wake_fd = ::eventfd(0, EFD_NONBLOCK);
+    if (state->wake_fd < 0) throw socket_error("eventfd");
     nodes_.push_back(std::move(state));
     return static_cast<NodeId>(nodes_.size() - 1);
 }
 
 std::size_t TcpTransport::node_count() const { return nodes_.size(); }
-
-std::uint16_t TcpTransport::port_of(NodeId node) const {
-    return node < nodes_.size() ? nodes_[node]->port : 0;
-}
 
 SimTime TcpTransport::now() const {
     return static_cast<SimTime>(
@@ -139,11 +140,6 @@ TrafficStats TcpTransport::stats() const {
     return stats_;
 }
 
-void TcpTransport::count_drop() {
-    common::MutexLock lock(stats_mu_);
-    ++stats_.messages_dropped;
-}
-
 void TcpTransport::schedule_after(NodeId node, SimTime delay,
                                   Handler handler) {
     if (node >= nodes_.size()) return;
@@ -157,7 +153,7 @@ void TcpTransport::schedule_after(NodeId node, SimTime delay,
         state.timers.push_back(std::move(timer));
         std::push_heap(state.timers.begin(), state.timers.end(), timer_later);
     }
-    state.cv.notify_one();
+    wake(state.wake_fd);  // the loop may be sleeping past the new deadline
 }
 
 void TcpTransport::send(NodeId from, NodeId to, Bytes message) {
@@ -172,28 +168,34 @@ void TcpTransport::send(NodeId from, NodeId to, Bytes message) {
             return;
         }
     }
-    if (message.size() > config_.max_frame_bytes ||
-        to >= nodes_[from]->links.size()) {  // sent before start(): no links
-        count_drop();
-        return;
+    NodeState& state = *nodes_[from];
+    bool queued = false;
+    bool backlog = false;
+    {
+        common::MutexLock lock(state.mu);
+        // No outboxes before start(); a down link or a full queue drops.
+        if (to < state.outboxes.size()) {
+            Outbox& out = state.outboxes[to];
+            const std::size_t unsent = out.bytes.size() - out.written;
+            if (!out.down && unsent + kFrameHeaderBytes + message.size() <=
+                                 kMaxQueuedBytes) {
+                std::uint8_t header[kFrameHeaderBytes];
+                encode_u32(header, static_cast<std::uint32_t>(message.size()));
+                out.bytes.insert(out.bytes.end(), header,
+                                 header + kFrameHeaderBytes);
+                out.bytes.insert(out.bytes.end(), message.begin(),
+                                 message.end());
+                queued = out.flush(state.links[to].fd);
+                if (!queued) out.take_down(state.links[to].fd);
+                backlog = out.pending();
+            }
+        }
     }
-    Link& link = *nodes_[from]->links[to];
-    common::MutexLock lock(link.mu);
-    if (link.fd < 0) {
-        // Link down (never dialed, or a previous error; the maintenance
-        // thread re-dials). The sim models this as a lossy window too.
-        count_drop();
-        return;
-    }
-    std::uint8_t header[kFrameHeaderBytes];
-    encode_u32(header, static_cast<std::uint32_t>(message.size()));
-    if (!send_all(link.fd, header, sizeof(header)) ||
-        !send_all(link.fd, message.data(), message.size())) {
-        // Dead connection: wake the blocked reader (it owns close) and
-        // leave the slot empty for the re-dial sweep.
-        ::shutdown(link.fd, SHUT_RDWR);
-        link.fd = -1;
-        count_drop();  // Link::mu before stats_mu_ (see the hierarchy)
+    if (!queued) {
+        common::MutexLock lock(stats_mu_);
+        ++stats_.messages_dropped;
+    } else if (backlog) {
+        wake(state.wake_fd);  // the loop flushes the rest on POLLOUT
     }
 }
 
@@ -203,273 +205,218 @@ void TcpTransport::broadcast(NodeId from, const Bytes& message) {
     }
 }
 
-void TcpTransport::install_link(NodeId owner, NodeId peer, int fd) {
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    Link& link = *nodes_[owner]->links[peer];
-    {
-        common::MutexLock lock(link.mu);
-        // A dial or accept completing concurrently with stop() must not
-        // publish a live fd: stop() sets stopping_ *before* its shutdown
-        // sweep takes every Link::mu, so if the sweep already passed this
-        // link we observe stopping_ here and refuse — otherwise the sweep
-        // is still ahead and will shut the fd down. Without this check the
-        // installed fd is never shut down and its reader blocks in recv()
-        // forever, hanging stop() at the join.
-        if (stopping_.load()) {
-            lock.unlock();
-            ::close(fd);
-            return;
-        }
-        if (link.fd >= 0) ::shutdown(link.fd, SHUT_RDWR);  // replace stale
-        link.fd = fd;
-    }
-    spawn_reader(owner, peer, fd);
-}
-
-void TcpTransport::spawn_reader(NodeId node, NodeId peer, int fd) {
-    common::MutexLock lock(readers_mu_);
-    reader_threads_.emplace_back(
-        [this, node, peer, fd] { reader_loop(node, peer, fd); });
-}
-
-bool TcpTransport::dial(NodeId hi, NodeId lo) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return false;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(nodes_[lo]->port);
-    ::inet_pton(AF_INET, config_.bind_address.c_str(), &addr.sin_addr);
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) < 0) {
-        ::close(fd);
-        return false;
-    }
-    std::uint8_t hello[4];
-    encode_u32(hello, hi);
-    if (!send_all(fd, hello, sizeof(hello))) {
-        ::close(fd);
-        return false;
-    }
-    install_link(hi, lo, fd);
-    return true;
-}
-
 void TcpTransport::start() {
     if (started_.exchange(true)) return;
     for (auto& state : nodes_) {
-        state->links.clear();
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-            state->links.push_back(std::make_unique<Link>());
-        }
+        state->links.resize(nodes_.size());
+        common::MutexLock lock(state->mu);
+        state->outboxes.resize(nodes_.size());
     }
+    connect_mesh();
     for (NodeId id = 0; id < nodes_.size(); ++id) {
-        nodes_[id]->accept_thread =
-            std::thread([this, id] { accept_loop(id); });  // bcfl-lint: allow(raw-thread)
+        nodes_[id]->thread =
+            std::thread([this, id] { loop(id); });  // bcfl-lint: allow(raw-thread)
     }
-    // Dial every pair synchronously (loopback: instant) so the first sends
-    // after run() find live links instead of burning a reconnect window.
-    for (NodeId hi = 0; hi < nodes_.size(); ++hi) {
-        for (NodeId lo = 0; lo < hi; ++lo) dial(hi, lo);
-    }
-    // The dialer's end is installed synchronously above, but the acceptor's
-    // end only lands once its accept thread finishes the handshake. Sends
-    // are drop-on-dead-link (no retransmit), so wait for the full mesh
-    // here rather than silently losing the deployment's opening messages.
-    const Clock::time_point mesh_deadline =
-        Clock::now() + std::chrono::seconds(5);
-    for (NodeId a = 0; a < nodes_.size(); ++a) {
-        for (NodeId b = 0; b < nodes_.size(); ++b) {
-            if (a == b) continue;
-            for (;;) {
-                {
-                    Link& link = *nodes_[a]->links[b];
-                    common::MutexLock lock(link.mu);
-                    if (link.fd >= 0) break;
+}
+
+void TcpTransport::connect_mesh() {
+    // The listener lives only as long as this function. Each accepted
+    // connection is matched by address to the connect() it answers, and
+    // anything else that connects is closed, so no other local process can
+    // pose as a node.
+    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (listener < 0) throw socket_error("socket");
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    try {
+        if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)) < 0 ||
+            ::listen(listener, SOMAXCONN) < 0 ||
+            ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
+                          &len) < 0) {
+            throw socket_error("listen");
+        }
+        for (NodeId a = 0; a < nodes_.size(); ++a) {
+            for (NodeId b = a + 1; b < nodes_.size(); ++b) {
+                // Both fds are stored as soon as they exist, so the
+                // destructor closes them if a later step throws.
+                int& dialer = nodes_[a]->links[b].fd;
+                dialer = ::socket(AF_INET, SOCK_STREAM, 0);
+                if (dialer < 0 ||
+                    ::connect(dialer, reinterpret_cast<const sockaddr*>(&addr),
+                              sizeof(addr)) < 0) {
+                    throw socket_error("connect");
                 }
-                // Timed out: leave it to the maintenance re-dial sweep.
-                if (Clock::now() >= mesh_deadline) break;
-                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                sockaddr_in local{};
+                len = sizeof(local);
+                ::getsockname(dialer, reinterpret_cast<sockaddr*>(&local),
+                              &len);
+                int& acceptor = nodes_[b]->links[a].fd;
+                while (acceptor < 0) {
+                    const int fd = ::accept(listener, nullptr, nullptr);
+                    if (fd < 0) {
+                        if (errno == EINTR) continue;
+                        throw socket_error("accept");
+                    }
+                    sockaddr_in remote{};
+                    len = sizeof(remote);
+                    if (::getpeername(fd, reinterpret_cast<sockaddr*>(&remote),
+                                      &len) == 0 &&
+                        remote.sin_port == local.sin_port &&
+                        remote.sin_addr.s_addr == local.sin_addr.s_addr) {
+                        acceptor = fd;
+                    } else {
+                        ::close(fd);
+                    }
+                }
+                const int one = 1;
+                ::setsockopt(dialer, IPPROTO_TCP, TCP_NODELAY, &one,
+                             sizeof(one));
+                ::setsockopt(acceptor, IPPROTO_TCP, TCP_NODELAY, &one,
+                             sizeof(one));
             }
         }
+    } catch (...) {
+        ::close(listener);
+        throw;
     }
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-        nodes_[id]->dispatch_thread =
-            std::thread([this, id] { dispatch_loop(id); });  // bcfl-lint: allow(raw-thread)
-    }
-    // bcfl-lint: allow(raw-thread)
-    maintenance_thread_ = std::thread([this] { maintenance_loop(); });
+    ::close(listener);
 }
 
-void TcpTransport::accept_loop(NodeId node) {
+void TcpTransport::loop(NodeId node) {
     NodeState& state = *nodes_[node];
-    for (;;) {
-        const int fd = ::accept(state.listen_fd, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR) continue;
-            return;  // listener shut down (stop())
+    std::vector<pollfd> polled;
+    std::vector<NodeId> peers;  // peers[i] is the peer behind polled[i + 1]
+    Bytes chunk(kReadChunkBytes);
+    while (!stopping_.load()) {
+        // Gate: until run() only the wake fd is polled — the experiment's
+        // setup phase owns all node state until then.
+        const bool running = running_.load();
+        polled.assign(1, pollfd{state.wake_fd, POLLIN, 0});
+        peers.clear();
+        timespec timeout{};
+        const timespec* wait = nullptr;  // sleep until woken
+        if (running) {
+            common::MutexLock lock(state.mu);
+            if (!state.timers.empty()) {
+                const auto ns = std::max(
+                    std::chrono::nanoseconds(state.timers.front().when -
+                                             Clock::now()),
+                    std::chrono::nanoseconds(0));
+                constexpr std::int64_t kNsPerSecond = 1'000'000'000;
+                timeout.tv_sec = static_cast<time_t>(ns.count() / kNsPerSecond);
+                timeout.tv_nsec = static_cast<long>(ns.count() % kNsPerSecond);
+                wait = &timeout;
+            }
+            for (NodeId peer = 0; peer < state.links.size(); ++peer) {
+                const Outbox& out = state.outboxes[peer];
+                if (state.links[peer].fd < 0 || out.down) continue;
+                const auto events = static_cast<short>(
+                    out.pending() ? POLLIN | POLLOUT : POLLIN);
+                polled.push_back(pollfd{state.links[peer].fd, events, 0});
+                peers.push_back(peer);
+            }
         }
-        if (stopping_.load()) {
-            ::close(fd);
-            return;
+        if (::ppoll(polled.data(), polled.size(), wait, nullptr) < 0) {
+            continue;  // EINTR
         }
-        std::uint8_t hello[4];
-        if (!recv_all(fd, hello, sizeof(hello))) {
-            ::close(fd);
-            continue;
+        if ((polled[0].revents & POLLIN) != 0) {
+            std::uint64_t wakes = 0;
+            [[maybe_unused]] const ssize_t n =
+                ::read(state.wake_fd, &wakes, sizeof(wakes));
         }
-        const NodeId peer = decode_u32(hello);
-        if (peer >= nodes_.size() || peer == node) {
-            ::close(fd);
-            continue;
+        for (std::size_t i = 0; i < peers.size(); ++i) {
+            const NodeId peer = peers[i];
+            const int fd = state.links[peer].fd;
+            const short ready = polled[i + 1].revents;
+            if ((ready & POLLOUT) != 0) {
+                common::MutexLock lock(state.mu);
+                Outbox& out = state.outboxes[peer];
+                if (!out.down && !out.flush(fd)) out.take_down(fd);
+            }
+            if ((ready & (POLLIN | POLLHUP | POLLERR)) != 0 &&
+                !read_frames(state, peer, chunk)) {
+                common::MutexLock lock(state.mu);
+                state.outboxes[peer].take_down(fd);
+            }
         }
-        install_link(node, peer, fd);
+        if (running) run_due_timers(state);
     }
 }
 
-void TcpTransport::reader_loop(NodeId node, NodeId peer, int fd) {
-    NodeState& state = *nodes_[node];
+bool TcpTransport::read_frames(NodeState& state, NodeId peer,
+                               Bytes& chunk) {
+    Bytes& in = state.links[peer].in;
+    const ssize_t got =
+        ::recv(state.links[peer].fd, chunk.data(), chunk.size(), MSG_DONTWAIT);
+    if (got == 0) return false;  // orderly shutdown
+    if (got < 0) {
+        return errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK;
+    }
+    in.insert(in.end(), chunk.data(), chunk.data() + got);
+    std::size_t used = 0;  // bytes of the whole frames delivered below
+    while (in.size() - used >= kFrameHeaderBytes) {
+        const std::uint32_t length = decode_u32(in.data() + used);
+        if (length > kMaxFrameBytes) return false;
+        const std::size_t end = used + kFrameHeaderBytes + length;
+        if (end > in.size()) break;
+        const Bytes message(in.data() + used + kFrameHeaderBytes,
+                            in.data() + end);
+        used = end;
+        {
+            common::MutexLock lock(stats_mu_);
+            ++stats_.messages_delivered;
+        }
+        state.receiver(peer, message);
+    }
+    in.erase(in.begin(), in.begin() + static_cast<std::ptrdiff_t>(used));
+    return true;
+}
+
+void TcpTransport::run_due_timers(NodeState& state) {
+    // Only what is due now: a timer armed by a handler below waits for the
+    // next pass, so a handler that re-arms itself cannot starve the sockets.
+    const Clock::time_point due = Clock::now();
     for (;;) {
-        std::uint8_t header[kFrameHeaderBytes];
-        if (!recv_all(fd, header, sizeof(header))) break;
-        const std::uint32_t length = decode_u32(header);
-        if (length == 0 || length > config_.max_frame_bytes) break;
-        Bytes payload(length);
-        if (!recv_all(fd, payload.data(), payload.size())) break;
-        bool dropped = false;
+        Handler fn;
         {
             common::MutexLock lock(state.mu);
-            if (state.inbox.size() >= config_.max_inbox) {
-                dropped = true;
-            } else {
-                state.inbox.emplace_back(peer, std::move(payload));
+            if (state.timers.empty() || state.timers.front().when > due) {
+                return;
             }
-        }
-        if (dropped) {
-            count_drop();
-        } else {
-            state.cv.notify_one();
-        }
-    }
-    // The reader owns close(); writers only shutdown(). Clear the slot so
-    // the maintenance sweep re-dials (if this endpoint was the dialer).
-    Link& link = *state.links[peer];
-    {
-        common::MutexLock lock(link.mu);
-        if (link.fd == fd) link.fd = -1;
-    }
-    ::close(fd);
-}
-
-void TcpTransport::dispatch_loop(NodeId node) {
-    NodeState& state = *nodes_[node];
-    common::MutexLock lock(state.mu);
-    for (;;) {
-        if (stopping_.load()) return;
-        if (!running_.load()) {
-            // Gate: nothing dispatches until run() — the experiment's
-            // setup phase owns all node state until then.
-            state.cv.wait_for(lock, std::chrono::milliseconds(10));
-            continue;
-        }
-        const Clock::time_point wall = Clock::now();
-        if (!state.timers.empty() && state.timers.front().when <= wall) {
             std::pop_heap(state.timers.begin(), state.timers.end(),
                           timer_later);
-            Timer timer = std::move(state.timers.back());
+            fn = std::move(state.timers.back().fn);
             state.timers.pop_back();
-            lock.unlock();
-            timer.fn();
-            lock.lock();
-            continue;
         }
-        if (!state.inbox.empty()) {
-            std::pair<NodeId, Bytes> frame = std::move(state.inbox.front());
-            state.inbox.pop_front();
-            lock.unlock();
-            {
-                common::MutexLock stats_lock(stats_mu_);
-                ++stats_.messages_delivered;
-            }
-            state.receiver(frame.first, frame.second);
-            lock.lock();
-            continue;
-        }
-        if (!state.timers.empty()) {
-            state.cv.wait_until(lock, state.timers.front().when);
-        } else {
-            state.cv.wait_for(lock, std::chrono::milliseconds(50));
-        }
-    }
-}
-
-void TcpTransport::maintenance_loop() {
-    while (!stopping_.load()) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(config_.reconnect_delay_ms));
-        if (stopping_.load()) return;
-        for (NodeId hi = 0; hi < nodes_.size(); ++hi) {
-            for (NodeId lo = 0; lo < hi; ++lo) {
-                bool down = false;
-                {
-                    Link& link = *nodes_[hi]->links[lo];
-                    common::MutexLock lock(link.mu);
-                    down = link.fd < 0;
-                }
-                if (down && !stopping_.load()) dial(hi, lo);
-            }
-        }
+        fn();
     }
 }
 
 void TcpTransport::run(const std::function<bool()>& done, SimTime deadline) {
     if (!started_.load()) start();
-    running_.store(true);
-    for (auto& state : nodes_) state->cv.notify_all();
+    if (!running_.exchange(true)) {
+        for (auto& state : nodes_) wake(state->wake_fd);
+    }
     while (!stopping_.load() && !done() && now() < deadline) {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
 }
 
 void TcpTransport::stop() {
-    if (stopping_.exchange(true)) {
-        // Second call: threads already asked to exit; nothing to join twice
-        // (stop is only re-entered from the destructor after an explicit
-        // stop, where every thread object is already joined and cleared).
-        return;
-    }
-    running_.store(false);
-    // Unblock every accept() and recv(). stopping_ was set above, before
-    // this sweep takes any Link::mu — install_link relies on that order to
-    // close its race against late dials (see the check there).
+    // A second call finds every loop already joined.
+    if (stopping_.exchange(true)) return;
+    for (auto& state : nodes_) wake(state->wake_fd);
     for (auto& state : nodes_) {
-        if (state->listen_fd >= 0) ::shutdown(state->listen_fd, SHUT_RDWR);
-        for (auto& link : state->links) {
-            common::MutexLock lock(link->mu);
-            if (link->fd >= 0) ::shutdown(link->fd, SHUT_RDWR);
-        }
-        state->cv.notify_all();
+        if (state->thread.joinable()) state->thread.join();
     }
-    // Join order matters: maintenance and accept threads are the only
-    // spawners of readers, so once they are joined the reader set is
-    // final and the readers_mu_ section below joins every reader exactly
-    // once.
-    if (maintenance_thread_.joinable()) maintenance_thread_.join();
+    // Delivery has ceased; from here on every send is a counted drop.
     for (auto& state : nodes_) {
-        if (state->accept_thread.joinable()) state->accept_thread.join();
-        if (state->dispatch_thread.joinable()) state->dispatch_thread.join();
-    }
-    {
-        common::MutexLock lock(readers_mu_);
-        for (std::thread& reader : reader_threads_) {  // bcfl-lint: allow(raw-thread)
-            if (reader.joinable()) reader.join();
-        }
-        reader_threads_.clear();
-    }
-    for (auto& state : nodes_) {
-        if (state->listen_fd >= 0) {
-            ::close(state->listen_fd);
-            state->listen_fd = -1;
+        common::MutexLock lock(state->mu);
+        for (NodeId peer = 0; peer < state->outboxes.size(); ++peer) {
+            state->outboxes[peer].take_down(state->links[peer].fd);
         }
     }
 }

@@ -3,33 +3,25 @@
 // against wall-clock time and a real kernel network stack.
 //
 // Topology and threading (one process, N nodes):
-//   * Every node binds a loopback listener on an ephemeral port at
-//     add_node. Between every pair of nodes there is one TCP connection;
-//     the higher id dials the lower id's listener and introduces itself
-//     with a 4-byte little-endian node id. Frames are [u32 LE length]
-//     [payload], full duplex on the pair's connection.
-//   * Per connection endpoint, a reader thread decodes frames into the
-//     owning node's mailbox. Per node, a dispatch thread drains that
-//     mailbox — messages and expired timers — so each node's state is
-//     only ever touched by its own dispatch thread, exactly the
-//     single-threaded discipline the simulation provides for free.
-//   * A maintenance thread re-dials dead connections (reconnect-on-
-//     failure); sends while a link is down are counted as drops, matching
-//     the sim's fault accounting.
+//   * start() connects every pair of nodes, on the caller's thread, through
+//     a private listener that it closes before returning. Frames are
+//     [u32 LE length][payload], full duplex on the pair's connection; a
+//     zero length is an empty message.
+//   * Each node owns exactly one thread. It runs a poll() loop over the
+//     node's sockets, its timer heap and a wake eventfd, and runs receiver
+//     and timer handlers inline — so each node's state is only ever touched
+//     by its own thread, exactly the single-threaded discipline the
+//     simulation provides for free.
+//   * send() appends the frame to the link's write queue and writes what
+//     the socket takes; the sending node's loop flushes the rest when the
+//     socket drains. A frame that does not fit the queue is a counted drop,
+//     and so is every send over a failed link: a failed link stays down.
 //   * Dispatch stays gated until run(): everything the experiment sets up
 //     beforehand (node->start(), run_rounds()) executes on the caller's
 //     thread with no concurrent delivery, so setup needs no locks.
 //
-// Lock hierarchy (acquire order; never take a later lock while holding an
-// earlier one in reverse — checked by clang -Wthread-safety through the
-// BCFL_* annotations, see docs/development.md):
-//   NodeState::mu  >  Link::mu  >  readers_mu_  >  stats_mu_
-// stats_mu_ is the innermost lock: count_drop() runs under Link::mu (send
-// failure) and under nothing at all (inbox overflow), so it must never be
-// held while acquiring anything else. TSA's BCFL_ACQUIRED_BEFORE can only
-// name members of the same class, so readers_mu_ pins its edge to
-// stats_mu_ here and the cross-struct edges are enforced by the
-// BCFL_EXCLUDES contracts on the helpers below.
+// Locks: a node's mutex guards its timers and write queues, stats_mu_ the
+// counters. No code path holds two of them at once.
 //
 // Clocks: now() is wall-clock microseconds since construction; timers use
 // the steady clock. Nothing here is deterministic — determinism is the
@@ -39,9 +31,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -50,22 +40,9 @@
 
 namespace bcfl::net {
 
-struct TcpTransportConfig {
-    std::string bind_address = "127.0.0.1";
-    /// Frames above this are a protocol error and kill the connection
-    /// (the maintenance thread will re-dial). Generous: a padded
-    /// EfficientNet-B0 chunk tx is ~24 KiB, a whole block a few MiB.
-    std::uint32_t max_frame_bytes = 256u * 1024 * 1024;
-    /// Backoff between re-dial sweeps over dead links.
-    std::uint64_t reconnect_delay_ms = 100;
-    /// Bounded mailbox: frames past this are dropped (counted), so a stuck
-    /// dispatch thread cannot grow memory without bound.
-    std::size_t max_inbox = 65'536;
-};
-
 class TcpTransport final : public Transport {
 public:
-    explicit TcpTransport(TcpTransportConfig config = {});
+    TcpTransport() = default;
     ~TcpTransport() override;
 
     NodeId add_node(Receiver receiver) override;
@@ -80,9 +57,6 @@ public:
     void stop() override;
     void run(const std::function<bool()>& done, SimTime deadline) override;
 
-    /// Ephemeral listener port of `node` (tests and diagnostics).
-    [[nodiscard]] std::uint16_t port_of(NodeId node) const;
-
 private:
     using Clock = std::chrono::steady_clock;
 
@@ -92,60 +66,55 @@ private:
         Handler fn;
     };
 
-    /// One endpoint of the connection to a peer. Writers hold `mu` for the
-    /// whole frame (frames never interleave) and only shutdown() on error;
-    /// the reader thread owns close() of its own fd.
+    /// Write side of the connection to one peer.
+    struct Outbox {
+        Bytes bytes;  // queued frames; the socket has taken [0, written)
+        std::size_t written = 0;
+        bool down = false;  // failed or stopped: sends are counted drops
+
+        [[nodiscard]] bool pending() const { return written < bytes.size(); }
+        /// Writes what the socket takes without blocking; false when the
+        /// connection is dead.
+        bool flush(int fd);
+        void take_down(int fd);
+    };
+
+    /// Read side of the connection to one peer.
     struct Link {
-        common::Mutex mu;
-        int fd BCFL_GUARDED_BY(mu) = -1;
+        int fd = -1;
+        Bytes in;  // received bytes not yet parsed into whole frames
     };
 
     struct NodeState {
         Receiver receiver;
-        // listen_fd/port are phase-guarded, not lock-guarded: written by
-        // add_node (single-threaded setup) and stop() (after every thread
-        // that reads them is joined), read-only in between.
-        int listen_fd = -1;
-        std::uint16_t port = 0;
-        std::thread accept_thread;    // bcfl-lint: allow(raw-thread)
-        std::thread dispatch_thread;  // bcfl-lint: allow(raw-thread)
+        // Phase-guarded, not lock-guarded: add_node opens wake_fd and
+        // start() the link fds, both before the loop thread exists, and the
+        // destructor closes them. Link::in is the loop thread's alone.
+        int wake_fd = -1;
+        std::vector<Link> links;  // by peer id
 
         common::Mutex mu;
-        common::CondVar cv;
-        std::deque<std::pair<NodeId, Bytes>> inbox BCFL_GUARDED_BY(mu);
         // Min-heap (std::push_heap/pop_heap).
         std::vector<Timer> timers BCFL_GUARDED_BY(mu);
+        std::vector<Outbox> outboxes BCFL_GUARDED_BY(mu);  // by peer id
 
-        // The vector itself is phase-guarded (sized once in start(), before
-        // any reader/dispatch thread exists); each Link guards its own fd.
-        std::vector<std::unique_ptr<Link>> links;  // by peer id
+        std::thread thread;  // bcfl-lint: allow(raw-thread)
     };
 
-    void accept_loop(NodeId node);
-    void reader_loop(NodeId node, NodeId peer, int fd);
-    void dispatch_loop(NodeId node);
-    void maintenance_loop();
-    /// Dials `lo`'s listener on behalf of `hi` and installs the link.
-    bool dial(NodeId hi, NodeId lo);
-    void install_link(NodeId owner, NodeId peer, int fd)
-        BCFL_EXCLUDES(readers_mu_);
-    void spawn_reader(NodeId node, NodeId peer, int fd)
-        BCFL_EXCLUDES(readers_mu_);
-    void count_drop() BCFL_EXCLUDES(stats_mu_);
+    void connect_mesh();
+    void loop(NodeId node);
+    /// Reads once from `peer`'s socket and delivers every whole frame;
+    /// false when the connection is dead.
+    bool read_frames(NodeState& state, NodeId peer, Bytes& chunk);
+    void run_due_timers(NodeState& state);
 
-    TcpTransportConfig config_;
-    Clock::time_point epoch_;
+    Clock::time_point epoch_ = Clock::now();
     std::vector<std::unique_ptr<NodeState>> nodes_;
 
     std::atomic<bool> started_{false};
     std::atomic<bool> running_{false};   // run() opens the dispatch gate
     std::atomic<bool> stopping_{false};
     std::atomic<std::uint64_t> timer_seq_{0};
-
-    std::thread maintenance_thread_;  // bcfl-lint: allow(raw-thread)
-    common::Mutex readers_mu_ BCFL_ACQUIRED_BEFORE(stats_mu_);
-    // bcfl-lint: allow(raw-thread) — this transport owns its delivery threads
-    std::vector<std::thread> reader_threads_ BCFL_GUARDED_BY(readers_mu_);
 
     mutable common::Mutex stats_mu_;
     TrafficStats stats_ BCFL_GUARDED_BY(stats_mu_);

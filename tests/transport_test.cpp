@@ -5,15 +5,20 @@
 // deployment (core/experiment.cpp drives exactly these calls).
 //
 // Test state is touched from the backend's delivery context (the sim step
-// loop, or a TCP dispatch thread), so everything shared is an atomic or
+// loop, or a TCP node's loop thread), so everything shared is an atomic or
 // sits behind a mutex; run() predicates read atomics only, as the
 // interface contract requires.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -268,12 +273,143 @@ TEST_P(TransportConformanceTest, StatsBalanceAfterQuiescence) {
     EXPECT_EQ(stats.bytes_sent, 2 * kEach);
 }
 
+TEST_P(TransportConformanceTest, EmptyMessageIsDelivered) {
+    auto transport = make_transport(GetParam());
+    Sink sink0;
+    Sink sink1;
+    transport->add_node(sink0.receiver());
+    transport->add_node(sink1.receiver());
+    transport->start();
+
+    // A zero-length payload is a message like any other, and the link
+    // keeps carrying what follows it.
+    transport->send(0, 1, Bytes{});
+    transport->send(0, 1, Bytes{7});
+    run_until_count(*transport, sink1, 2);
+    transport->stop();
+
+    ASSERT_EQ(sink1.received.size(), 2u);
+    EXPECT_TRUE(sink1.received[0].second.empty());
+    EXPECT_EQ(sink1.received[1].second, Bytes{7});
+    const TrafficStats stats = transport->stats();
+    EXPECT_EQ(stats.messages_delivered, 2u);
+    EXPECT_EQ(stats.messages_dropped, 0u);
+}
+
+TEST_P(TransportConformanceTest, LargeFramesBothWays) {
+    // Each message is far past the loopback socket buffers, and both nodes
+    // send at once: TCP has to queue partial writes and flush them while
+    // it keeps reading, or the two ends deadlock.
+    constexpr std::size_t kFrames = 3;
+    constexpr std::size_t kFrameBytes = std::size_t{24} << 20;
+    std::vector<Bytes> frames(kFrames, Bytes(kFrameBytes));
+    for (std::size_t k = 0; k < kFrames; ++k) {
+        for (std::size_t i = 0; i < kFrameBytes; ++i) {
+            frames[k][i] = static_cast<std::uint8_t>(i * 131 + i / 4096 + k);
+        }
+    }
+    // Compares each arrival with its original instead of keeping a copy.
+    struct Checker {
+        const std::vector<Bytes>* frames = nullptr;
+        std::atomic<std::size_t> count{0};
+        std::atomic<std::size_t> intact{0};
+
+        Transport::Receiver receiver() {
+            return [this](NodeId, const Bytes& message) {
+                // FIFO from the one peer: arrival k is frame k.
+                const std::size_t k = count.load(std::memory_order_relaxed);
+                if (k < frames->size() && message == (*frames)[k]) {
+                    intact.fetch_add(1, std::memory_order_relaxed);
+                }
+                count.fetch_add(1, std::memory_order_release);
+            };
+        }
+    };
+    auto transport = make_transport(GetParam());
+    Checker checker0;
+    Checker checker1;
+    checker0.frames = &frames;
+    checker1.frames = &frames;
+    transport->add_node(checker0.receiver());
+    transport->add_node(checker1.receiver());
+    transport->start();
+
+    for (const Bytes& frame : frames) {
+        transport->send(0, 1, frame);
+        transport->send(1, 0, frame);
+    }
+    transport->run(
+        [&] {
+            return checker0.count.load(std::memory_order_acquire) >= kFrames &&
+                   checker1.count.load(std::memory_order_acquire) >= kFrames;
+        },
+        seconds(30));
+    transport->stop();
+
+    EXPECT_EQ(checker0.count.load(), kFrames);
+    EXPECT_EQ(checker1.count.load(), kFrames);
+    EXPECT_EQ(checker0.intact.load(), kFrames);
+    EXPECT_EQ(checker1.intact.load(), kFrames);
+    const TrafficStats stats = transport->stats();
+    EXPECT_EQ(stats.messages_delivered, 2 * kFrames);
+    EXPECT_EQ(stats.messages_dropped, 0u);
+    EXPECT_EQ(stats.bytes_sent, 2 * kFrames * kFrameBytes);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, TransportConformanceTest,
                          ::testing::Values(Backend::sim, Backend::tcp),
                          [](const auto& info) {
                              return info.param == Backend::sim ? "Sim"
                                                                : "Tcp";
                          });
+
+/// Threads of this process, from /proc/self/status (0 if unreadable).
+std::size_t process_threads() {
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+    }
+    return 0;
+}
+
+/// Descriptors of this process that are listening sockets.
+std::size_t listening_sockets() {
+    std::size_t listeners = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/fd")) {
+        const int fd = std::stoi(entry.path().filename().string());
+        int accepting = 0;
+        socklen_t length = sizeof(accepting);
+        if (::getsockopt(fd, SOL_SOCKET, SO_ACCEPTCONN, &accepting,
+                         &length) == 0 &&
+            accepting != 0) {
+            ++listeners;
+        }
+    }
+    return listeners;
+}
+
+// TCP-only: start() builds the whole mesh through a listener that is
+// closed before it returns, so no other local process can connect and
+// pose as a node, and each node costs exactly one thread.
+TEST(TcpTransportTest, StartAddsOneThreadPerNodeAndNoListener) {
+    TcpTransport transport;
+    std::vector<std::unique_ptr<Sink>> sinks;
+    for (std::size_t i = 0; i < 4; ++i) {
+        sinks.push_back(std::make_unique<Sink>());
+        transport.add_node(sinks.back()->receiver());
+    }
+    // A sanitizer runtime may start a helper thread on the process's first
+    // thread creation; have that happen here, outside the count.
+    std::thread([] {}).join();
+    const std::size_t threads_before = process_threads();
+    ASSERT_GT(threads_before, 0u);
+    transport.start();
+    EXPECT_EQ(process_threads(), threads_before + 4);
+    EXPECT_EQ(listening_sockets(), 0u);
+    transport.stop();
+}
 
 // TCP-only (the sim is single-threaded by design): hammers stats(),
 // send() and schedule_after() from concurrent client threads while the
@@ -351,15 +487,15 @@ TEST(TcpTransportStressTest, ConcurrentSendStatsScheduleSurviveStop) {
     runner.join();
 
     // Accounting balance: every send() was counted exactly once; what
-    // was not delivered was either dropped (dead link after stop, inbox
-    // overflow) or still queued/in-flight when dispatch shut down.
+    // was not delivered was either dropped (sent after stop) or still
+    // queued/in flight when the loops shut down.
     const TrafficStats stats = transport.stats();
     EXPECT_EQ(stats.messages_sent, 2 * kSendsPerSender);
     EXPECT_EQ(stats.bytes_sent, payload.size() * 2 * kSendsPerSender);
     EXPECT_LE(stats.messages_delivered + stats.messages_dropped,
               stats.messages_sent);
     EXPECT_EQ(stats.dropped_invalid, 0u);
-    // Every delivery the transport counted reached a receiver (dispatch
+    // Every delivery the transport counted reached a receiver (loop
     // threads are joined by stop(), so no delivery is mid-callback).
     EXPECT_EQ(stats.messages_delivered,
               sinks[1]->count.load() + sinks[2]->count.load());
