@@ -5,6 +5,7 @@
 //
 //   $ ./build/examples/audit_trail
 #include <cstdio>
+#include <utility>
 
 #include "core/audit.hpp"
 #include "core/paper_setup.hpp"
@@ -73,8 +74,10 @@ int main() {
                     ? "VALID (bug!)"
                     : "REJECTED");
 
+    chain::Transaction::Fields fields = proof->publish_tx.fields();
+    fields.data[8] ^= 0x40;  // alter the announced round
     auto tampered = *proof;
-    tampered.publish_tx.data[8] ^= 0x40;  // alter the announced round
+    tampered.publish_tx = chain::Transaction::from_fields(std::move(fields));
     std::printf("tampered publish calldata    -> %s\n",
                 core::verify_audit_proof(tampered, node.address()).all_valid()
                     ? "VALID (bug!)"

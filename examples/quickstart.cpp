@@ -11,7 +11,7 @@ int main() {
     using namespace bcfl;
 
     // 1. A federated dataset: 10-class synthetic colour images, split across
-    //    three clients (the CIFAR-10 stand-in; see DESIGN.md).
+    //    three clients (the CIFAR-10 stand-in; see docs/architecture.md).
     ml::SyntheticCifarConfig data_config = core::paper_data_config();
     data_config.train_per_client = 300;  // keep the quickstart snappy
     data_config.test_per_client = 200;

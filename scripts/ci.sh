@@ -77,7 +77,11 @@ else
   cmake -B build-fuzz -S . -DBCFL_FUZZ=ON -DBCFL_ASAN=ON \
     -DBCFL_BUILD_TESTS=OFF -DBCFL_BUILD_BENCHES=OFF -DBCFL_BUILD_EXAMPLES=OFF
   cmake --build build-fuzz -j "${JOBS}"
-  for target in json rlp asm model analysis; do
+  # One replay per fuzz/fuzz_*.cpp harness, so a new one cannot be left
+  # out of the list.
+  for src in fuzz/fuzz_*.cpp; do
+    target=$(basename "${src}" .cpp)
+    target=${target#fuzz_}
     ./build-fuzz/fuzz/fuzz_${target} fuzz/corpus/${target}/*
   done
 

@@ -167,16 +167,16 @@ std::string Blockchain::validate(
     std::uint64_t gas_left = h.gas_limit;
     for (const Transaction& tx : block.transactions) {
         if (!tx.verify_signature()) return "bad tx signature";
-        if (tx.gas_limit < intrinsic_gas(config_.gas, tx)) {
+        if (tx.gas_limit() < intrinsic_gas(config_.gas, tx)) {
             return "tx gas below intrinsic";
         }
         const Address from = tx.sender();
         const auto [it, inserted] = touched.try_emplace(from, 0);
         if (inserted) it->second = parent_nonces.next_for(from);
-        if (tx.nonce != it->second) return "bad tx nonce";
+        if (tx.nonce() != it->second) return "bad tx nonce";
         ++it->second;
-        if (tx.gas_limit > gas_left) return "block over gas limit";
-        gas_left -= tx.gas_limit;
+        if (tx.gas_limit() > gas_left) return "block over gas limit";
+        gas_left -= tx.gas_limit();
     }
     return {};
 }

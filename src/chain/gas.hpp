@@ -41,7 +41,7 @@ struct GasSchedule {
 [[nodiscard]] inline std::uint64_t intrinsic_gas(const GasSchedule& schedule,
                                                  const Transaction& tx) {
     std::uint64_t gas = schedule.tx_base;
-    for (std::uint8_t b : tx.data) {
+    for (std::uint8_t b : tx.data()) {
         gas += (b == 0) ? schedule.calldata_zero_byte
                         : schedule.calldata_nonzero_byte;
     }

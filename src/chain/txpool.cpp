@@ -10,14 +10,15 @@ bool TxPool::add(const Transaction& tx) {
     const Hash32 id = tx.hash();
     if (by_hash_.contains(id)) return false;
     if (!tx.verify_signature()) return false;
-    if (tx.gas_limit < intrinsic_gas(schedule_, tx)) return false;
+    if (tx.gas_limit() < intrinsic_gas(schedule_, tx)) return false;
     by_hash_.emplace(id, tx);
     order_.push_back(id);
     return true;
 }
 
-bool TxPool::contains(const Hash32& tx_hash) const {
-    return by_hash_.contains(tx_hash);
+const Transaction* TxPool::find(const Hash32& tx_hash) const {
+    const auto it = by_hash_.find(tx_hash);
+    return it == by_hash_.end() ? nullptr : &it->second;
 }
 
 std::vector<Transaction> TxPool::select(
@@ -33,7 +34,7 @@ std::vector<Transaction> TxPool::select(
     }
     std::stable_sort(candidates.begin(), candidates.end(),
                      [](const Transaction* a, const Transaction* b) {
-                         return a->gas_price > b->gas_price;
+                         return a->gas_price() > b->gas_price();
                      });
 
     // Per-sender nonce-ordered queues merged by gas price. This replaces
@@ -61,7 +62,7 @@ std::vector<Transaction> TxPool::select(
                                       ? 0
                                       : nonce_it->second;
         }
-        it->second.by_nonce[candidates[i]->nonce].push_back(i);
+        it->second.by_nonce[candidates[i]->nonce()].push_back(i);
     }
 
     struct Event {
@@ -87,12 +88,12 @@ std::vector<Transaction> TxPool::select(
         const Transaction& tx = *candidates[event.pos];
         SenderQueue& queue = senders.at(tx.sender());
         // A same-nonce sibling earlier in the schedule may have won.
-        if (tx.nonce != queue.expected) continue;
+        if (tx.nonce() != queue.expected) continue;
         // gas_left only shrinks, so a tx that does not fit now never will;
         // it simply stays unselected (its successors never unlock).
-        if (tx.gas_limit > gas_left) continue;
+        if (tx.gas_limit() > gas_left) continue;
         selected.push_back(tx);
-        gas_left -= tx.gas_limit;
+        gas_left -= tx.gas_limit();
         ++queue.expected;
         const auto next_it = queue.by_nonce.find(queue.expected);
         if (next_it == queue.by_nonce.end()) continue;
@@ -127,7 +128,7 @@ std::size_t TxPool::prune_stale(
     std::vector<Hash32> stale;
     for (const auto& [id, tx] : by_hash_) {
         const auto it = next_nonce_by_sender.find(tx.sender());
-        if (it != next_nonce_by_sender.end() && tx.nonce < it->second) {
+        if (it != next_nonce_by_sender.end() && tx.nonce() < it->second) {
             stale.push_back(id);
         }
     }

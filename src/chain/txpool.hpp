@@ -28,8 +28,9 @@ public:
     /// already-mined tx from being selected again.
     bool add(const Transaction& tx);
 
-    /// True if the pool currently holds the transaction.
-    [[nodiscard]] bool contains(const Hash32& tx_hash) const;
+    /// The pooled copy of a transaction, or null if it is not pending. The
+    /// copy carries the id and signature verdict computed at admission.
+    [[nodiscard]] const Transaction* find(const Hash32& tx_hash) const;
 
     /// Selects transactions for a block: highest gas price first, respecting
     /// per-sender nonce order and the remaining block gas budget (by
@@ -45,8 +46,8 @@ public:
     void remove(const std::vector<Transaction>& txs);
 
     /// Re-injects transactions from abandoned blocks after a reorg without
-    /// re-running signature/intrinsic-gas admission (they were verified
-    /// when first added and again inside the abandoned block). Pending
+    /// re-running signature/intrinsic-gas admission (the abandoned block
+    /// passed validation, and each tx carries its cached verdict). Pending
     /// duplicates are skipped via `by_hash_`.
     void reinject(const std::vector<Transaction>& txs);
 

@@ -33,28 +33,43 @@ const rlp::Item& child(const rlp::Item& list, std::size_t index) {
     return list.children()[index];
 }
 
-}  // namespace
+// A string slot must hold a string and a list slot a list: read the other
+// way round, a list's `data()` is empty and a string's `children()` are,
+// so a type-confused input would decode to a different canonical value
+// than the bytes on the wire.
+const Bytes& as_string(const rlp::Item& item) {
+    if (item.is_list()) throw DecodeError("expected rlp string, got list");
+    return item.data();
+}
 
-Bytes Transaction::signing_payload() const {
+const std::vector<rlp::Item>& as_list(const rlp::Item& item) {
+    if (!item.is_list()) throw DecodeError("expected rlp list, got string");
+    return item.children();
+}
+
+/// RLP encoding of the fields covered by the signature.
+Bytes signing_payload(const Transaction::Fields& f) {
     return rlp::encode(rlp::Item::list({
-        rlp::Item::integer(nonce),
-        address_item(to),
-        rlp::Item::integer(gas_limit),
-        rlp::Item::integer(gas_price),
-        rlp::Item::string(data),
+        rlp::Item::integer(f.nonce),
+        address_item(f.to),
+        rlp::Item::integer(f.gas_limit),
+        rlp::Item::integer(f.gas_price),
+        rlp::Item::string(f.data),
     }));
 }
 
+}  // namespace
+
 Bytes Transaction::encode() const {
     return rlp::encode(rlp::Item::list({
-        rlp::Item::integer(nonce),
-        address_item(to),
-        rlp::Item::integer(gas_limit),
-        rlp::Item::integer(gas_price),
-        rlp::Item::string(data),
-        rlp::Item::string(sender_pub.x.to_hash().view()),
-        rlp::Item::string(sender_pub.y.to_hash().view()),
-        rlp::Item::string(signature.serialize()),
+        rlp::Item::integer(fields_.nonce),
+        address_item(fields_.to),
+        rlp::Item::integer(fields_.gas_limit),
+        rlp::Item::integer(fields_.gas_price),
+        rlp::Item::string(fields_.data),
+        rlp::Item::string(fields_.sender_pub.x.to_hash().view()),
+        rlp::Item::string(fields_.sender_pub.y.to_hash().view()),
+        rlp::Item::string(fields_.signature.serialize()),
     }));
 }
 
@@ -63,38 +78,41 @@ Transaction Transaction::decode(BytesView wire) {
     if (!item.is_list() || item.children().size() != 8) {
         throw DecodeError("transaction must be an 8-item list");
     }
-    Transaction tx;
-    tx.nonce = child(item, 0).as_u64();
-    tx.to = as_address(child(item, 1));
-    tx.gas_limit = child(item, 2).as_u64();
-    tx.gas_price = child(item, 3).as_u64();
-    tx.data = child(item, 4).data();
-    tx.sender_pub.x = crypto::U256::from_hash(as_hash(child(item, 5)));
-    tx.sender_pub.y = crypto::U256::from_hash(as_hash(child(item, 6)));
-    tx.sender_pub.infinity = false;
-    tx.signature = crypto::Signature::deserialize(child(item, 7).data());
-    return tx;
+    Fields fields;
+    fields.nonce = child(item, 0).as_u64();
+    fields.to = as_address(child(item, 1));
+    fields.gas_limit = child(item, 2).as_u64();
+    fields.gas_price = child(item, 3).as_u64();
+    fields.data = as_string(child(item, 4));
+    fields.sender_pub.x = crypto::U256::from_hash(as_hash(child(item, 5)));
+    fields.sender_pub.y = crypto::U256::from_hash(as_hash(child(item, 6)));
+    fields.sender_pub.infinity = false;
+    fields.signature =
+        crypto::Signature::deserialize(as_string(child(item, 7)));
+    return Transaction(std::move(fields));
 }
 
-Hash32 Transaction::hash() const { return crypto::keccak256(encode()); }
+Hash32 Transaction::hash() const {
+    if (!hash_cache_) hash_cache_ = crypto::keccak256(encode());
+    return *hash_cache_;
+}
 
 bool Transaction::verify_signature() const {
-    return crypto::verify(sender_pub, signing_payload(), signature);
+    if (!verdict_cache_) {
+        verdict_cache_ = crypto::verify(
+            fields_.sender_pub, signing_payload(fields_), fields_.signature);
+    }
+    return *verdict_cache_;
 }
 
 Transaction Transaction::make_signed(const crypto::KeyPair& key,
                                      std::uint64_t nonce, const Address& to,
                                      std::uint64_t gas_limit,
                                      std::uint64_t gas_price, Bytes data) {
-    Transaction tx;
-    tx.nonce = nonce;
-    tx.to = to;
-    tx.gas_limit = gas_limit;
-    tx.gas_price = gas_price;
-    tx.data = std::move(data);
-    tx.sender_pub = key.public_key();
-    tx.signature = key.sign(tx.signing_payload());
-    return tx;
+    Fields fields{nonce, to, gas_limit, gas_price, std::move(data),
+                  key.public_key(), {}};
+    fields.signature = key.sign(signing_payload(fields));
+    return Transaction(std::move(fields));
 }
 
 Bytes Receipt::encode() const {
@@ -198,9 +216,9 @@ Block Block::decode(BytesView wire) {
         throw DecodeError("block must be a 2-item list");
     }
     Block block;
-    block.header = BlockHeader::decode(child(item, 0).data());
-    for (const rlp::Item& tx_item : child(item, 1).children()) {
-        block.transactions.push_back(Transaction::decode(tx_item.data()));
+    block.header = BlockHeader::decode(as_string(child(item, 0)));
+    for (const rlp::Item& tx_item : as_list(child(item, 1))) {
+        block.transactions.push_back(Transaction::decode(as_string(tx_item)));
     }
     return block;
 }

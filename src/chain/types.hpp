@@ -1,15 +1,16 @@
 // Core chain data types: transactions, receipts, logs, block headers and
 // blocks — the private-Ethereum substrate of the paper's deployment.
 //
-// Simplification vs mainnet Ethereum (documented in DESIGN.md): the sender's
-// public key travels inside the transaction instead of being recovered from
-// an ECDSA signature. The sender address is still keccak256(pubkey)[12..],
-// and signatures still bind the sender to the payload, which is all the
-// paper's non-repudiation argument needs.
+// Simplification vs mainnet Ethereum (see docs/architecture.md): the
+// sender's public key travels inside the transaction instead of being
+// recovered from an ECDSA signature. The sender address is still
+// keccak256(pubkey)[12..], and signatures still bind the sender to the
+// payload, which is all the paper's non-repudiation argument needs.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -26,45 +27,76 @@ struct LogEntry {
     [[nodiscard]] bool operator==(const LogEntry&) const = default;
 };
 
-struct Transaction {
-    std::uint64_t nonce = 0;
-    Address to;  // zero address = contract creation
-    std::uint64_t gas_limit = 0;
-    std::uint64_t gas_price = 1;
-    Bytes data;
-
-    crypto::Point sender_pub;
-    crypto::Signature signature;
-
-    /// Sender address derived from the embedded public key. The keccak of
-    /// the pubkey is cached on first use: sender() sits on the per-tx hot
-    /// path of validation, block building, mempool selection and chain
-    /// indexing. The cache relies on `sender_pub` being set only at
-    /// construction (make_signed / decode) and never mutated afterwards.
-    [[nodiscard]] Address sender() const {
-        if (!sender_cache_) sender_cache_ = crypto::to_address(sender_pub);
-        return *sender_cache_;
-    }
-
-    /// RLP encoding of the fields covered by the signature.
-    [[nodiscard]] Bytes signing_payload() const;
-    /// Full wire encoding (payload + pubkey + signature).
-    [[nodiscard]] Bytes encode() const;
-    static Transaction decode(BytesView wire);
-
-    /// keccak256 of the full encoding — the transaction id.
-    [[nodiscard]] Hash32 hash() const;
-
-    [[nodiscard]] bool verify_signature() const;
+/// A signed transaction, immutable once built. Only make_signed, decode
+/// and from_fields construct one, and no accessor hands out a mutable
+/// field, so the object can cache what it derives from its fields: the
+/// sender address, the id and the signature verdict. Each is computed on
+/// first use and copies carry all three, which is what lets a node hash
+/// and verify a transaction once instead of at every pool, block-building,
+/// import and indexing step. The caches are unsynchronized: an object
+/// belongs to one node's delivery context, like the node itself.
+class Transaction {
+public:
+    /// The wire fields, in encoding order.
+    struct Fields {
+        std::uint64_t nonce = 0;
+        Address to;  // zero address = contract creation
+        std::uint64_t gas_limit = 0;
+        std::uint64_t gas_price = 1;
+        Bytes data;
+        crypto::Point sender_pub;
+        crypto::Signature signature;
+    };
 
     /// Builds and signs a transaction in one step.
     static Transaction make_signed(const crypto::KeyPair& key,
                                    std::uint64_t nonce, const Address& to,
                                    std::uint64_t gas_limit,
                                    std::uint64_t gas_price, Bytes data);
+    static Transaction decode(BytesView wire);
+    /// Takes the fields as given: nothing is signed or checked. A tampered
+    /// copy of a transaction is built here from its edited `fields()`.
+    static Transaction from_fields(Fields fields) {
+        return Transaction(std::move(fields));
+    }
+
+    [[nodiscard]] const Fields& fields() const { return fields_; }
+    [[nodiscard]] std::uint64_t nonce() const { return fields_.nonce; }
+    [[nodiscard]] const Address& to() const { return fields_.to; }
+    [[nodiscard]] std::uint64_t gas_limit() const { return fields_.gas_limit; }
+    [[nodiscard]] std::uint64_t gas_price() const { return fields_.gas_price; }
+    [[nodiscard]] const Bytes& data() const { return fields_.data; }
+
+    /// Sender address derived from the embedded public key (cached).
+    [[nodiscard]] Address sender() const {
+        if (!sender_cache_) {
+            sender_cache_ = crypto::to_address(fields_.sender_pub);
+        }
+        return *sender_cache_;
+    }
+
+    /// Full wire encoding (the signed payload + pubkey + signature).
+    [[nodiscard]] Bytes encode() const;
+
+    /// keccak256 of the full encoding — the transaction id (cached).
+    [[nodiscard]] Hash32 hash() const;
+    /// Whether the signature binds the sender to the payload (cached).
+    [[nodiscard]] bool verify_signature() const;
+
+    /// Whether hash() / verify_signature() already ran on this object or
+    /// on the one it was copied from.
+    [[nodiscard]] bool hash_cached() const { return hash_cache_.has_value(); }
+    [[nodiscard]] bool verdict_cached() const {
+        return verdict_cache_.has_value();
+    }
 
 private:
+    explicit Transaction(Fields fields) : fields_(std::move(fields)) {}
+
+    Fields fields_;
     mutable std::optional<Address> sender_cache_;
+    mutable std::optional<Hash32> hash_cache_;
+    mutable std::optional<bool> verdict_cache_;
 };
 
 /// Execution outcome of one transaction.

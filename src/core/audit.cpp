@@ -13,12 +13,12 @@ namespace {
 std::optional<std::pair<std::uint64_t, Hash32>> parse_publish(
     const chain::Transaction& tx) {
     const Bytes probe = abi::publish_calldata(0, Hash32{}, 0, 0);
-    if (tx.data.size() != probe.size()) return std::nullopt;
+    if (tx.data().size() != probe.size()) return std::nullopt;
     for (std::size_t i = 0; i < 4; ++i) {
-        if (tx.data[i] != probe[i]) return std::nullopt;
+        if (tx.data()[i] != probe[i]) return std::nullopt;
     }
-    const std::uint64_t round = be_u64(BytesView(tx.data).subspan(28, 8));
-    const Hash32 hash = Hash32::from(BytesView(tx.data).subspan(36, 32));
+    const std::uint64_t round = be_u64(BytesView(tx.data()).subspan(28, 8));
+    const Hash32 hash = Hash32::from(BytesView(tx.data()).subspan(36, 32));
     return std::make_pair(round, hash);
 }
 
@@ -36,15 +36,15 @@ std::optional<AuditProof> build_audit_proof(const chain::Blockchain& chain,
             const auto publish = parse_publish(tx);
             if (!publish.has_value() || publish->first != round) continue;
 
-            AuditProof proof;
-            proof.publish_tx = tx;
-            proof.round = round;
-            proof.model_hash = publish->second;
             std::vector<Hash32> leaves;
             for (const chain::Transaction& t : block->transactions) {
                 leaves.push_back(t.hash());
             }
-            proof.inclusion = crypto::merkle_prove(leaves, i);
+            AuditProof proof{.publish_tx = tx,
+                             .round = round,
+                             .model_hash = publish->second,
+                             .inclusion = crypto::merkle_prove(leaves, i),
+                             .header_chain = {}};
             for (std::uint64_t n = number; n <= chain.height(); ++n) {
                 proof.header_chain.push_back(
                     chain.block_by_number(n)->header);

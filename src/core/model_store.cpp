@@ -88,7 +88,7 @@ void ModelStore::ingest(const chain::Block& block,
                 // The payload travels in the transaction calldata; verify it
                 // against the digest the contract stored (the log publisher
                 // must equal the tx sender by construction of CALLER).
-                const auto payload = abi::chunk_payload(tx.data);
+                const auto payload = abi::chunk_payload(tx.data());
                 if (!payload.has_value()) continue;
                 if (chunk->publisher != tx.sender()) continue;
                 PublishedModel& model =

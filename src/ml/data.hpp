@@ -1,6 +1,6 @@
 // SyntheticCifar: a procedural 10-class colour-image generator standing in
-// for CIFAR-10 (no datasets are downloadable in this environment — see
-// DESIGN.md §3 for why the substitution preserves the paper's phenomena).
+// for CIFAR-10, so no dataset download is needed (see docs/architecture.md
+// for why the substitution preserves the paper's phenomena).
 //
 // Each class has a smooth random "texture" prototype; samples are the
 // prototype under brightness/contrast jitter, spatial shift and pixel noise.

@@ -51,21 +51,21 @@ chain::ExecutionResult VmBlockExecutor::execute(
         const chain::Transaction& tx = block.transactions[tx_index];
         chain::Receipt receipt;
         const std::uint64_t intrinsic = chain::intrinsic_gas(gas_, tx);
-        if (tx.to == Address{} && !tx.data.empty()) {
+        if (tx.to() == Address{} && !tx.data().empty()) {
             // Contract creation: the payload is the bytecode. Installation
             // is gated on static analysis — invalid code is refused with a
             // typed, offset-carrying diagnostic, and the tx burns its gas
             // while the block still imports deterministically.
             const std::uint64_t deploy_gas =
-                gas_.vm_deploy_byte * tx.data.size();
-            const Address target = creation_address(tx.sender(), tx.nonce);
-            if (tx.gas_limit < intrinsic + deploy_gas ||
+                gas_.vm_deploy_byte * tx.data().size();
+            const Address target = creation_address(tx.sender(), tx.nonce());
+            if (tx.gas_limit() < intrinsic + deploy_gas ||
                 entry.state.has_contract(target)) {
                 receipt.success = false;
-                receipt.gas_used = tx.gas_limit;
+                receipt.gas_used = tx.gas_limit();
             } else {
                 const auto analysis =
-                    entry.state.install(target, tx.data, *analysis_cache_);
+                    entry.state.install(target, tx.data(), *analysis_cache_);
                 if (analysis->valid()) {
                     receipt.success = true;
                     receipt.gas_used = intrinsic + deploy_gas;
@@ -74,19 +74,19 @@ chain::ExecutionResult VmBlockExecutor::execute(
                 } else {
                     const vm::Diagnostic* fatal = analysis->first_fatal();
                     receipt.success = false;
-                    receipt.gas_used = tx.gas_limit;
+                    receipt.gas_used = tx.gas_limit();
                     receipt.return_data = str_bytes(fatal->message);
                     result.rejected_installs.push_back(
                         {tx_index, fatal->name, fatal->offset,
                          fatal->message});
                 }
             }
-        } else if (entry.state.has_contract(tx.to)) {
+        } else if (entry.state.has_contract(tx.to())) {
             vm::CallContext ctx;
-            ctx.contract = tx.to;
+            ctx.contract = tx.to();
             ctx.caller = tx.sender();
-            ctx.calldata = tx.data;
-            ctx.gas_limit = tx.gas_limit - intrinsic;
+            ctx.calldata = tx.data();
+            ctx.gas_limit = tx.gas_limit() - intrinsic;
             ctx.block_number = block.header.number;
             ctx.timestamp_ms = block.header.timestamp_ms;
             const vm::CallResult call = vm_.call(entry.state, ctx);

@@ -122,11 +122,9 @@ void Node::handle_message(net::NodeId from, const Bytes& message) {
                 if (pool_.add(tx)) broadcast(MsgKind::tx, tx.encode());
                 return;
             }
-            case MsgKind::block: {
-                const chain::Block block = chain::Block::decode(body);
-                handle_block(from, block);
+            case MsgKind::block:
+                handle_block(from, chain::Block::decode(body));
                 return;
-            }
             case MsgKind::get_block: {
                 if (body.size() != 32) return;
                 const Hash32 wanted = Hash32::from(body);
@@ -149,10 +147,19 @@ void Node::handle_message(net::NodeId from, const Bytes& message) {
     }
 }
 
-void Node::handle_block(net::NodeId from, const chain::Block& block) {
+void Node::handle_block(net::NodeId from, chain::Block block) {
     const Hash32 id = block.hash();
     if (already_seen(id)) return;
     mark_seen(id);
+    // Same id means same bytes, so a tx this node already pooled is
+    // replaced by its pooled copy, whose signature was verified at
+    // admission: import then does not verify it again. Txs the pool never
+    // held keep their fresh decode and are verified at import.
+    for (chain::Transaction& tx : block.transactions) {
+        if (const chain::Transaction* pooled = pool_.find(tx.hash())) {
+            tx = *pooled;
+        }
+    }
     import_block(block, /*relay=*/true, from);
 }
 

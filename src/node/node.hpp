@@ -136,7 +136,7 @@ private:
     enum class MsgKind : std::uint8_t { tx = 1, block = 2, get_block = 3 };
 
     void handle_message(net::NodeId from, const Bytes& message);
-    void handle_block(net::NodeId from, const chain::Block& block);
+    void handle_block(net::NodeId from, chain::Block block);
     void import_block(const chain::Block& block, bool relay,
                       net::NodeId origin);
     /// Asks `peer` for the block with the given hash (ancestor sync: after

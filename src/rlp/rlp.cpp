@@ -53,8 +53,12 @@ struct Cursor {
         if (pos >= data.size()) throw DecodeError("rlp: truncated input");
         return data[pos];
     }
+    /// Bytes left after `pos`. Compare lengths against this, never
+    /// against `pos + n`: an 8-byte length field near 2^64 wraps the sum.
+    [[nodiscard]] std::size_t remaining() const { return data.size() - pos; }
+
     [[nodiscard]] BytesView take(std::size_t n) {
-        if (pos + n > data.size()) throw DecodeError("rlp: truncated input");
+        if (n > remaining()) throw DecodeError("rlp: truncated input");
         BytesView out = data.subspan(pos, n);
         pos += n;
         return out;
@@ -64,6 +68,7 @@ struct Cursor {
 std::size_t read_long_length(Cursor& cursor, std::size_t n_bytes) {
     if (n_bytes > 8) throw DecodeError("rlp: length field too wide");
     const BytesView raw = cursor.take(n_bytes);
+    if (raw[0] == 0) throw DecodeError("rlp: long length has a leading zero");
     std::size_t length = 0;
     for (std::uint8_t b : raw) length = (length << 8) | b;
     if (length <= 55) throw DecodeError("rlp: non-canonical long length");
@@ -95,8 +100,10 @@ Item decode_one(Cursor& cursor, std::size_t depth) {
     } else {
         payload_length = read_long_length(cursor, prefix - 0xf7);
     }
+    if (payload_length > cursor.remaining()) {
+        throw DecodeError("rlp: truncated list");
+    }
     const std::size_t end = cursor.pos + payload_length;
-    if (end > cursor.data.size()) throw DecodeError("rlp: truncated list");
     std::vector<Item> children;
     while (cursor.pos < end) {
         children.push_back(decode_one(cursor, depth + 1));

@@ -5,6 +5,7 @@
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "chain/blockchain.hpp"
 #include "chain/gas.hpp"
@@ -14,6 +15,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "crypto/keccak.hpp"
+#include "rlp/rlp.hpp"
 
 namespace bcfl::chain {
 namespace {
@@ -27,15 +29,35 @@ Transaction sample_tx(std::uint64_t seed, std::uint64_t nonce,
                                     str_bytes("payload"));
 }
 
+/// A copy of `tx` with `edit` applied to its fields, built through the
+/// raw-fields factory: the old signature is carried over, not redone.
+template <typename Edit>
+Transaction tampered(const Transaction& tx, Edit edit) {
+    Transaction::Fields fields = tx.fields();
+    edit(fields);
+    return Transaction::from_fields(std::move(fields));
+}
+
 // ------------------------------------------------------------ Transactions
+
+// Immutability is a compile error, not a convention: no field of a
+// Transaction is assignable, directly or through fields(). The same
+// expressions on the plain Fields struct compile, so the check is live.
+template <typename T>
+concept AssignableTxFields = requires(T tx) { tx.nonce = 1u; } ||
+                             requires(T tx) { tx.data = Bytes{}; } ||
+                             requires(T tx) { tx.fields().data = Bytes{}; };
+static_assert(!AssignableTxFields<Transaction>);
+static_assert(AssignableTxFields<Transaction::Fields>);
 
 TEST(Transaction, EncodeDecodeRoundTrip) {
     const Transaction tx = sample_tx(1, 7, 3);
     const Transaction back = Transaction::decode(tx.encode());
-    EXPECT_EQ(back.nonce, 7u);
-    EXPECT_EQ(back.gas_price, 3u);
-    EXPECT_EQ(back.data, str_bytes("payload"));
+    EXPECT_EQ(back.nonce(), 7u);
+    EXPECT_EQ(back.gas_price(), 3u);
+    EXPECT_EQ(back.data(), str_bytes("payload"));
     EXPECT_EQ(back.hash(), tx.hash());
+    EXPECT_EQ(back.hash(), crypto::keccak256(tx.encode()));
     EXPECT_TRUE(back.verify_signature());
 }
 
@@ -47,19 +69,71 @@ TEST(Transaction, SenderDerivedFromKey) {
 }
 
 TEST(Transaction, TamperedPayloadFailsVerification) {
-    Transaction tx = sample_tx(2, 0);
-    tx.data = str_bytes("tampered");
-    EXPECT_FALSE(tx.verify_signature());
+    const Transaction tx = sample_tx(2, 0);
+    // Warm the original's caches: the tampered copy must not inherit them.
+    ASSERT_TRUE(tx.verify_signature());
+    const Hash32 id = tx.hash();
+    const Transaction bad = tampered(
+        tx, [](Transaction::Fields& f) { f.data = str_bytes("tampered"); });
+    EXPECT_FALSE(bad.verify_signature());
+    EXPECT_NE(bad.hash(), id);
 }
 
 TEST(Transaction, TamperedNonceFailsVerification) {
-    Transaction tx = sample_tx(3, 0);
-    tx.nonce = 99;
-    EXPECT_FALSE(tx.verify_signature());
+    const Transaction tx = sample_tx(3, 0);
+    ASSERT_TRUE(tx.verify_signature());
+    const Hash32 id = tx.hash();
+    const Transaction bad =
+        tampered(tx, [](Transaction::Fields& f) { f.nonce = 99; });
+    EXPECT_FALSE(bad.verify_signature());
+    EXPECT_NE(bad.hash(), id);
+}
+
+TEST(Transaction, CopiesCarryCachedIdAndVerdict) {
+    const Transaction tx = Transaction::decode(sample_tx(4, 0).encode());
+    // Lazy: decode computes neither the id nor the verdict.
+    EXPECT_FALSE(tx.hash_cached());
+    EXPECT_FALSE(tx.verdict_cached());
+    const Transaction cold = tx;
+
+    const Hash32 id = tx.hash();
+    ASSERT_TRUE(tx.verify_signature());
+    const Transaction warm = tx;
+    EXPECT_TRUE(warm.hash_cached());
+    EXPECT_TRUE(warm.verdict_cached());
+    EXPECT_EQ(warm.hash(), id);
+    EXPECT_TRUE(warm.verify_signature());
+
+    // A copy taken before the first call stays cold, and computes the same.
+    EXPECT_FALSE(cold.hash_cached());
+    EXPECT_FALSE(cold.verdict_cached());
+    EXPECT_EQ(cold.hash(), id);
+    EXPECT_TRUE(cold.verify_signature());
 }
 
 TEST(Transaction, DecodeRejectsGarbage) {
     EXPECT_THROW(Transaction::decode(str_bytes("nonsense")), Error);
+}
+
+/// `wire` (an RLP list) re-encoded with top-level item `index` replaced.
+Bytes with_slot(const Bytes& wire, std::size_t index, rlp::Item replacement) {
+    std::vector<rlp::Item> items = rlp::decode(wire).children();
+    items[index] = std::move(replacement);
+    return rlp::encode(rlp::Item::list(std::move(items)));
+}
+
+TEST(Transaction, DecodeRejectsListInDataSlot) {
+    // Regression: a list in the data slot decoded as empty data. With the
+    // tx's data empty, the signature still verified and the id equaled
+    // the canonical tx's, yet keccak256 of the wire bytes did not.
+    const Transaction tx = Transaction::make_signed(KeyPair::from_seed(6), 0,
+                                                    Address{}, 21'000, 1, {});
+    EXPECT_THROW(
+        Transaction::decode(with_slot(tx.encode(), 4, rlp::Item::list({}))),
+        DecodeError);
+    EXPECT_THROW(
+        Transaction::decode(with_slot(tx.encode(), 7, rlp::Item::list({}))),
+        DecodeError);
 }
 
 // ----------------------------------------------------------------- Headers
@@ -105,6 +179,22 @@ TEST(Block, EncodeDecodeRoundTrip) {
     EXPECT_EQ(back.hash(), block.hash());
     EXPECT_EQ(back.transactions.size(), 2u);
     EXPECT_EQ(back.transactions[1].hash(), block.transactions[1].hash());
+}
+
+TEST(Block, DecodeRejectsTypeConfusedSlots) {
+    Block block;
+    block.transactions.push_back(sample_tx(1, 0));
+    const Bytes wire = block.encode();
+    // Regression: a string in the tx-list slot decoded as zero txs.
+    EXPECT_THROW(Block::decode(with_slot(wire, 1, rlp::Item::string(Bytes{}))),
+                 DecodeError);
+    // A list where the header's or a tx's encoding belongs.
+    EXPECT_THROW(Block::decode(with_slot(wire, 0, rlp::Item::list({}))),
+                 DecodeError);
+    EXPECT_THROW(
+        Block::decode(with_slot(
+            wire, 1, rlp::Item::list({rlp::Item::list({})}))),
+        DecodeError);
 }
 
 // -------------------------------------------------------------------- PoW
@@ -206,9 +296,14 @@ TEST(TxPool, RejectsDuplicates) {
 
 TEST(TxPool, RejectsBadSignature) {
     TxPool pool;
-    Transaction tx = sample_tx(1, 0);
-    tx.data = str_bytes("tampered");
-    EXPECT_FALSE(pool.add(tx));
+    const Transaction tx = sample_tx(1, 0);
+    ASSERT_TRUE(tx.verify_signature());
+    const Hash32 id = tx.hash();
+    const Transaction bad = tampered(
+        tx, [](Transaction::Fields& f) { f.data = str_bytes("tampered"); });
+    EXPECT_NE(bad.hash(), id);
+    EXPECT_FALSE(pool.add(bad));
+    EXPECT_TRUE(pool.empty());
 }
 
 TEST(TxPool, RejectsUnderpaidIntrinsicGas) {
@@ -232,9 +327,9 @@ TEST(TxPool, EnforcesNonceOrderPerSender) {
     ASSERT_TRUE(pool.add(mk(1, 20)));
     const auto selected = pool.select(1'000'000, {});
     ASSERT_EQ(selected.size(), 3u);
-    EXPECT_EQ(selected[0].nonce, 0u);
-    EXPECT_EQ(selected[1].nonce, 1u);
-    EXPECT_EQ(selected[2].nonce, 2u);
+    EXPECT_EQ(selected[0].nonce(), 0u);
+    EXPECT_EQ(selected[1].nonce(), 1u);
+    EXPECT_EQ(selected[2].nonce(), 2u);
 }
 
 TEST(TxPool, RespectsBlockGasBudget) {
@@ -280,7 +375,7 @@ TEST(TxPool, RemoveFreesAllStateForEvictThenReadd) {
     EXPECT_FALSE(pool.add(tx));  // pending duplicate still rejected
     pool.remove({tx});
     EXPECT_TRUE(pool.empty());
-    EXPECT_FALSE(pool.contains(tx.hash()));
+    EXPECT_EQ(pool.find(tx.hash()), nullptr);
     EXPECT_TRUE(pool.add(tx));  // evict-then-readd passes admission again
     EXPECT_EQ(pool.size(), 1u);
     const auto selected = pool.select(1'000'000, {});
@@ -291,7 +386,7 @@ TEST(TxPool, RemoveFreesAllStateForEvictThenReadd) {
     pool.remove({tx});
     ASSERT_TRUE(pool.add(tx));
     const auto reselected =
-        pool.select(1'000'000, {{selected[0].sender(), tx.nonce + 1}});
+        pool.select(1'000'000, {{selected[0].sender(), tx.nonce() + 1}});
     EXPECT_TRUE(reselected.empty());
 }
 
@@ -320,10 +415,10 @@ TEST(TxPool, PruneStaleDropsMinedNonces) {
     // satisfied by a different tx); the other sender is untouched.
     EXPECT_EQ(pool.prune_stale({{mined.sender(), 2}}), 2u);
     EXPECT_EQ(pool.size(), 2u);
-    EXPECT_FALSE(pool.contains(mined.hash()));
-    EXPECT_FALSE(pool.contains(replaced.hash()));
-    EXPECT_TRUE(pool.contains(pending.hash()));
-    EXPECT_TRUE(pool.contains(other.hash()));
+    EXPECT_EQ(pool.find(mined.hash()), nullptr);
+    EXPECT_EQ(pool.find(replaced.hash()), nullptr);
+    EXPECT_NE(pool.find(pending.hash()), nullptr);
+    EXPECT_NE(pool.find(other.hash()), nullptr);
     EXPECT_EQ(pool.prune_stale({{mined.sender(), 2}}), 0u);  // idempotent
     const auto selected = pool.select(1'000'000, {{mined.sender(), 2}});
     ASSERT_EQ(selected.size(), 2u);  // pending + other, both still viable
@@ -341,7 +436,7 @@ std::vector<Transaction> multi_pass_reference_select(
     for (const Transaction& tx : arrival) candidates.push_back(&tx);
     std::stable_sort(candidates.begin(), candidates.end(),
                      [](const Transaction* a, const Transaction* b) {
-                         return a->gas_price > b->gas_price;
+                         return a->gas_price() > b->gas_price();
                      });
     std::unordered_map<Address, std::uint64_t, FixedBytesHasher> next_nonce =
         next_nonce_by_sender;
@@ -354,16 +449,16 @@ std::vector<Transaction> multi_pass_reference_select(
         for (std::size_t i = 0; i < candidates.size(); ++i) {
             if (taken[i]) continue;
             const Transaction& tx = *candidates[i];
-            if (tx.gas_limit > gas_left) continue;
+            if (tx.gas_limit() > gas_left) continue;
             const Address from = tx.sender();
             const auto nonce_it = next_nonce.find(from);
             const std::uint64_t expected =
                 nonce_it == next_nonce.end() ? 0 : nonce_it->second;
-            if (tx.nonce != expected) continue;
+            if (tx.nonce() != expected) continue;
             selected.push_back(tx);
             taken[i] = true;
             next_nonce[from] = expected + 1;
-            gas_left -= tx.gas_limit;
+            gas_left -= tx.gas_limit();
             progressed = true;
         }
     }
@@ -436,7 +531,7 @@ TEST(TxPool, SelectMatchesMultiPassReferenceOnRandomWorkloads) {
             if (pool.add(tx)) accepted.push_back(tx);  // drops exact dups
         }
         std::uint64_t total_gas = 0;
-        for (const Transaction& tx : accepted) total_gas += tx.gas_limit;
+        for (const Transaction& tx : accepted) total_gas += tx.gas_limit();
         for (const std::uint64_t budget :
              {total_gas, total_gas / 2, total_gas / 5}) {
             const auto got = pool.select(budget, base);
@@ -494,6 +589,16 @@ TEST_F(BlockchainTest, ImportExtendsHead) {
     EXPECT_EQ(r.status, ImportStatus::added_head) << r.reason;
     EXPECT_EQ(chain_.height(), 1u);
     EXPECT_EQ(chain_.block_by_number(1)->hash(), b1.hash());
+}
+
+TEST_F(BlockchainTest, RejectsTxWithBadSignature) {
+    const Transaction good = sample_tx(1, 0);
+    ASSERT_TRUE(good.verify_signature());
+    const Transaction bad = tampered(
+        sample_tx(2, 0), [](Transaction::Fields& f) { f.gas_price = 9; });
+    const ImportResult r = chain_.import_block(make_next({good, bad}, 1000));
+    EXPECT_EQ(r.status, ImportStatus::rejected);
+    EXPECT_EQ(r.reason, "bad tx signature");
 }
 
 TEST_F(BlockchainTest, DuplicateDetected) {
@@ -960,8 +1065,9 @@ TEST(BlockchainIndices, NonceValidationIsPerBranch) {
 
 TEST(IntrinsicGas, ChargesPerByte) {
     GasSchedule schedule;
-    Transaction tx;
-    tx.data = Bytes{0, 0, 1, 2};
+    Transaction::Fields fields;
+    fields.data = Bytes{0, 0, 1, 2};
+    const Transaction tx = Transaction::from_fields(std::move(fields));
     EXPECT_EQ(intrinsic_gas(schedule, tx),
               21'000u + 2 * 4 + 2 * 16);
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "core/audit.hpp"
 #include "core/experiment.hpp"
@@ -263,9 +264,14 @@ TEST_F(ModelStoreTest, AuditDetectsTamperedProof) {
     auto proof = build_audit_proof(node_->chain(), 8, node_->address());
     ASSERT_TRUE(proof.has_value());
 
-    // Tampered tx payload -> signature fails.
+    // Tampered tx payload -> signature fails, even though verifying the
+    // honest proof first warmed the original tx's id and verdict caches.
+    ASSERT_TRUE(verify_audit_proof(*proof, node_->address()).all_valid());
+    chain::Transaction::Fields fields = proof->publish_tx.fields();
+    fields.data[10] ^= 0x01;
     auto tampered = *proof;
-    tampered.publish_tx.data[10] ^= 0x01;
+    tampered.publish_tx = chain::Transaction::from_fields(std::move(fields));
+    EXPECT_NE(tampered.publish_tx.hash(), proof->publish_tx.hash());
     EXPECT_FALSE(
         verify_audit_proof(tampered, node_->address()).signature_valid);
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "crypto/keccak.hpp"
@@ -255,6 +256,110 @@ TEST(NodeGossip, SeenSetIsBoundedByGenerationalRotation) {
         evictions += node->stats().seen_evictions;
     }
     EXPECT_GT(evictions, 0u);
+}
+
+/// A chain config whose PoW seals in a few hashes and never retargets.
+chain::ChainConfig easy_chain() {
+    chain::ChainConfig chain_config;
+    chain_config.initial_difficulty = 16;
+    chain_config.min_difficulty = 16;
+    chain_config.fixed_difficulty = true;
+    return chain_config;
+}
+
+Bytes with_kind(std::uint8_t kind, const Bytes& body) {
+    Bytes message{kind};
+    append(message, body);
+    return message;
+}
+
+TEST(NodeGossip, WrappingRlpLengthIsDroppedNotFatal) {
+    // Regression: an 8-byte RLP length near 2^64 wrapped the decoder's
+    // bounds check, the oversized copy threw std::length_error instead of
+    // a DecodeError, and the exception left the receiver and ended the
+    // run. The message must be dropped like any malformed gossip.
+    net::SimTransport transport(net::LinkParams{}, /*seed=*/5);
+    NodeConfig miner_config;
+    miner_config.chain = easy_chain();
+    miner_config.key_seed = 11;
+    Node miner(transport, miner_config);
+    NodeConfig follower_config = miner_config;
+    follower_config.key_seed = 12;
+    follower_config.mine = false;
+    Node follower(transport, follower_config);
+    const net::NodeId attacker =
+        transport.add_node([](net::NodeId, const Bytes&) {});
+
+    const Bytes wrapping_string{0xbf, 0xff, 0xff, 0xff, 0xff,
+                                0xff, 0xff, 0xff, 0xf7};
+    transport.send(attacker, follower.id(), with_kind(1, wrapping_string));
+    transport.send(attacker, follower.id(), with_kind(2, wrapping_string));
+    transport.sim().run_until(net::seconds(1));
+    EXPECT_EQ(follower.chain().height(), 0u);
+
+    // The follower still imports what the miner seals afterwards.
+    miner.start();
+    transport.sim().run_until(net::seconds(60));
+    EXPECT_GT(follower.chain().height(), 0u);
+    EXPECT_EQ(follower.chain().head_hash(), miner.chain().head_hash());
+    EXPECT_EQ(follower.stats().blocks_rejected, 0u);
+}
+
+TEST(NodeImport, UnpooledTxIsVerifiedAtImport) {
+    // A block's txs that the node already pooled are swapped for the
+    // pooled copies, whose signature verdict was cached at admission. A
+    // tx the node never pooled must still be verified at import: a block
+    // pairing a pooled tx with a forged one is rejected.
+    net::SimTransport transport(net::LinkParams{}, /*seed=*/5);
+    NodeConfig config;
+    config.chain = easy_chain();
+    config.key_seed = 13;
+    config.mine = false;
+    Node node(transport, config);
+    const net::NodeId peer =
+        transport.add_node([](net::NodeId, const Bytes&) {});
+
+    Address sink;
+    sink.data[19] = 0x42;  // no contract here: a plain transfer
+    const auto pooled = chain::Transaction::make_signed(
+        crypto::KeyPair::from_seed(21), 0, sink, 100'000, 1,
+        str_bytes("pooled"));
+    node.submit_tx(pooled);
+    ASSERT_EQ(node.pool_size(), 1u);
+    const auto honest = chain::Transaction::make_signed(
+        crypto::KeyPair::from_seed(22), 0, sink, 100'000, 1,
+        str_bytes("honest"));
+    chain::Transaction::Fields fields = honest.fields();
+    fields.data = str_bytes("forged");
+    const auto forged = chain::Transaction::from_fields(std::move(fields));
+
+    // Seal both candidate blocks on genesis with a builder chain set up
+    // exactly as a node sets up its own.
+    auto executor = std::make_shared<VmBlockExecutor>(config.chain.gas);
+    chain::Blockchain builder(config.chain, executor);
+    executor->register_genesis(builder.genesis().header,
+                               Node::genesis_state());
+    const auto sealed = [&](std::vector<chain::Transaction> txs) {
+        chain::Block block = builder.build_block(
+            crypto::KeyPair::from_seed(23).address(), std::move(txs), 1000);
+        block.header.pow_nonce = *chain::mine_seal(block.header, 0, 1'000'000);
+        return block;
+    };
+    const chain::Block bad_block = sealed({pooled, forged});
+    const chain::Block good_block = sealed({pooled, honest});
+    EXPECT_EQ(builder.import_block(bad_block).reason, "bad tx signature");
+
+    transport.send(peer, node.id(), with_kind(2, bad_block.encode()));
+    transport.sim().run_until(net::seconds(1));
+    EXPECT_EQ(node.stats().blocks_rejected, 1u);
+    EXPECT_EQ(node.chain().height(), 0u);
+
+    // Control: the same block with the honest tx imports, so the forgery
+    // alone caused the rejection.
+    transport.send(peer, node.id(), with_kind(2, good_block.encode()));
+    transport.sim().run_until(net::seconds(2));
+    EXPECT_EQ(node.stats().blocks_rejected, 1u);
+    EXPECT_EQ(node.chain().head_hash(), good_block.hash());
 }
 
 TEST(NodeSingle, NonMinerNeverExtendsChain) {

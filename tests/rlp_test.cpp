@@ -100,6 +100,26 @@ TEST(Rlp, RejectsNonCanonical) {
     EXPECT_THROW((void)decode(from_hex("820001")).as_u64(), DecodeError);
 }
 
+TEST(Rlp, WrappingLongLengthRejected) {
+    // Regression: an 8-byte length near 2^64 wrapped the bounds check
+    // `pos + n > size`, and copying the oversized span threw
+    // std::length_error, which no gossip handler catches.
+    EXPECT_THROW(decode(from_hex("bffffffffffffffff7")), DecodeError);
+    EXPECT_THROW(decode(from_hex("bffffffffffffffff700")), DecodeError);
+    EXPECT_THROW(decode(from_hex("fffffffffffffffff7")), DecodeError);
+}
+
+TEST(Rlp, LongLengthWithLeadingZeroRejected) {
+    // Regression: `b9 00 38` + 56 bytes decoded, then re-encoded as
+    // `b8 38` + 56 bytes, giving one item two encodings.
+    Bytes padded = from_hex("b90038");
+    padded.resize(3 + 56, 'a');
+    EXPECT_THROW(decode(padded), DecodeError);
+    Bytes list = from_hex("f90038");
+    for (int i = 0; i < 56; ++i) list.push_back(0x80);
+    EXPECT_THROW(decode(list), DecodeError);
+}
+
 TEST(Rlp, ListPayloadOverrunRejected) {
     // List claims 2 payload bytes but contains an item spanning 3.
     EXPECT_THROW(decode(from_hex("c2826162")), DecodeError);
