@@ -26,9 +26,10 @@
 #    hierarchical_ci_smoke spec (flat-vs-clustered sweep) run end-to-end
 #    at BCFL_THREADS=1 and 8 — each pair of JSON documents must be
 #    byte-identical (the scenario engine's determinism contract).
-# 4a. Soak smoke: scenarios/soak_smoke.json runs over loopback TCP through
-#    bcfl_soak, gated on a completed round per peer, bounded state and
-#    identical final digests.
+# 4a. Soak smoke: scenarios/soak_smoke.json (flat) and
+#    scenarios/hierarchical_soak_smoke.json (member, head and top-head
+#    roles) run over loopback TCP through bcfl_soak, gated on a completed
+#    round per peer, bounded state and identical final digests.
 # 4b. Paper specs: the scenarios/paper_*.json ports of the paper's
 #    experiments (E2 Tables II-IV/Fig. 4 for both models, E5b contention,
 #    E7 poisoning, E8 staleness, the E4 trade-off) run once each so the
@@ -158,9 +159,11 @@ if ! cmp -s build/BENCH_scenario_hierarchical_ci_smoke.threads1.json \
 fi
 echo "hierarchical scenario JSON byte-identical across thread counts"
 
-echo "== soak smoke: a whole deployment over loopback TCP =="
-timeout 120 build/examples/bcfl_soak scenarios/soak_smoke.json \
-  --require-consensus --min-rounds=1 --max-seconds=90
+echo "== soak smoke: whole deployments over loopback TCP =="
+for spec in soak_smoke hierarchical_soak_smoke; do
+  timeout 120 build/examples/bcfl_soak "scenarios/${spec}.json" \
+    --require-consensus --min-rounds=1 --max-seconds=90
+done
 
 echo "== paper specs: the paper's experiments as gated scenario documents =="
 paper_specs=(paper_decentralized_simple paper_decentralized_effnet

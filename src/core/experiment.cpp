@@ -35,19 +35,14 @@ DecentralizedResult run_decentralized(const fl::FlTask& task,
     chain_config.min_difficulty = config.min_difficulty;
     chain_config.target_interval_ms = config.target_interval_ms;
 
-    // Resolve the hierarchy first: node overlays depend on it. NodeId == i
-    // holds by construction order below.
-    std::optional<ResolvedTopology> topo;
+    // Resolve the hierarchy first: node overlays depend on it, and every
+    // peer derives its role and stages from it. NodeId == i holds by
+    // construction order below.
+    std::shared_ptr<const ResolvedTopology> topo;
     if (config.topology.enabled()) {
-        topo.emplace(resolve_topology(config.topology, config.peers));
+        topo = std::make_shared<const ResolvedTopology>(
+            resolve_topology(config.topology, config.peers));
     }
-    const auto head_slot = [&](std::size_t i) -> std::optional<std::size_t> {
-        if (!topo.has_value()) return std::nullopt;
-        for (std::size_t k = 0; k < topo->heads.size(); ++k) {
-            if (topo->heads[k] == i) return k;
-        }
-        return std::nullopt;
-    };
 
     std::vector<std::unique_ptr<node::Node>> nodes;
     std::vector<Address> roster;
@@ -57,9 +52,9 @@ DecentralizedResult run_decentralized(const fl::FlTask& task,
         node_config.key_seed = 9000 + i;
         node_config.hash_rate = config.hash_rate_per_node;
         node_config.rng_seed = config.seed * 1000 + i;
-        if (topo.has_value()) {
-            const std::optional<std::size_t> slot = head_slot(i);
-            if (slot.has_value()) {
+        if (topo != nullptr) {
+            const std::size_t cluster = topo->cluster_of[i];
+            if (topo->heads[cluster] == i) {
                 // Heads mesh among themselves and fan out to their own
                 // members; txs circulate only on the head mesh (members
                 // never need foreign txs — they follow blocks).
@@ -70,7 +65,7 @@ DecentralizedResult run_decentralized(const fl::FlTask& task,
                     node_config.tx_neighbors.push_back(
                         static_cast<net::NodeId>(h));
                 }
-                for (std::size_t m : topo->clusters[*slot]) {
+                for (std::size_t m : topo->clusters[cluster]) {
                     if (m == i) continue;
                     node_config.neighbors.push_back(
                         static_cast<net::NodeId>(m));
@@ -82,8 +77,8 @@ DecentralizedResult run_decentralized(const fl::FlTask& task,
                 // do not mine — consensus runs on the head committee — so
                 // the per-round verify cost scales with heads, not peers.
                 node_config.mine = false;
-                const net::NodeId head = static_cast<net::NodeId>(
-                    topo->heads[topo->cluster_of[i]]);
+                const net::NodeId head =
+                    static_cast<net::NodeId>(topo->heads[cluster]);
                 node_config.neighbors.push_back(head);
                 node_config.tx_neighbors.push_back(head);
             }
@@ -116,28 +111,8 @@ DecentralizedResult run_decentralized(const fl::FlTask& task,
                 }
             }
         }
-        if (topo.has_value()) {
-            PeerTierConfig& tier = peer_config.tier;
-            tier.top_head = topo->top_head;
-            tier.head_policy = config.topology.head_policy;
-            tier.head_aggregation = config.topology.head_aggregation;
-            tier.top_policy = config.topology.top_policy;
-            tier.top_aggregation = config.topology.top_aggregation;
-            tier.member_timeout = config.topology.member_timeout;
-            if (const std::optional<std::size_t> slot = head_slot(i);
-                slot.has_value()) {
-                tier.cluster = topo->clusters[*slot];
-                if (i == topo->top_head) {
-                    tier.role = TierRole::top_head;
-                    tier.clusters = topo->clusters;
-                    tier.heads = topo->heads;
-                } else {
-                    tier.role = TierRole::head;
-                }
-            } else {
-                tier.role = TierRole::member;
-            }
-        }
+        peer_config.topology = config.topology;
+        peer_config.resolved = topo;
         peers.push_back(
             std::make_unique<BcflPeer>(*nodes[i], task, roster, peer_config));
     }

@@ -1,6 +1,9 @@
 #include "core/peer.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <numeric>
+#include <utility>
 
 #include "common/error.hpp"
 #include "fl/fedavg.hpp"
@@ -18,8 +21,6 @@ BcflPeer::BcflPeer(node::Node& node, const fl::FlTask& task,
       task_(task),
       roster_(std::move(roster)),
       config_(std::move(config)),
-      wait_policy_(make_wait_policy(config_.wait_policy)),
-      aggregation_(make_aggregation_strategy(config_.aggregation)),
       model_(task.make_model()),
       probe_(task.make_model()),
       global_weights_(model_->weights()) {
@@ -29,25 +30,64 @@ BcflPeer::BcflPeer(node::Node& node, const fl::FlTask& task,
     if (roster_[config_.index] != node_.address()) {
         throw Error("peer: node key does not match roster entry");
     }
-    const TierRole role = config_.tier.role;
-    if (role == TierRole::head || role == TierRole::top_head) {
-        if (config_.tier.cluster.empty()) {
-            throw Error("peer: head role without a cluster");
+    // FedAvg weights a member-tier source by its training-set size.
+    const auto member_stage = [this](std::vector<std::size_t> sources,
+                                     const std::string& policy,
+                                     const std::string& aggregation) {
+        std::vector<double> weights;
+        for (std::size_t c : sources) {
+            weights.push_back(
+                static_cast<double>(task_.client_train[c].size()));
         }
-        head_policy_ = make_wait_policy(config_.tier.head_policy);
-        head_aggregation_ =
-            make_aggregation_strategy(config_.tier.head_aggregation);
-    }
-    if (role == TierRole::top_head) {
-        if (config_.tier.heads.empty() ||
-            config_.tier.heads.size() != config_.tier.clusters.size()) {
-            throw Error("peer: top head with inconsistent cluster lists");
+        return Stage{.kind = ModelKind::member,
+                     .sources = std::move(sources),
+                     .weights = std::move(weights),
+                     .policy = make_wait_policy(policy),
+                     .aggregation = make_aggregation_strategy(aggregation)};
+    };
+    if (config_.resolved == nullptr) {
+        std::vector<std::size_t> everyone(roster_.size());
+        std::iota(everyone.begin(), everyone.end(), std::size_t{0});
+        Stage flat = member_stage(std::move(everyone), config_.wait_policy,
+                                  config_.aggregation);
+        flat.backfill_stale = flat.aggregation->wants_stale_updates();
+        stages_.push_back(std::move(flat));
+    } else {
+        const ResolvedTopology& topo = *config_.resolved;
+        if (topo.cluster_of.size() != roster_.size()) {
+            throw Error("peer: topology does not cover the roster");
         }
-        top_policy_ = make_wait_policy(config_.tier.top_policy);
-        top_aggregation_ =
-            make_aggregation_strategy(config_.tier.top_aggregation);
+        const std::size_t own = topo.cluster_of[config_.index];
+        if (topo.heads[own] == config_.index) {
+            stages_.push_back(member_stage(topo.clusters[own],
+                                           config_.topology.head_policy,
+                                           config_.topology.head_aggregation));
+        }
+        if (topo.top_head == config_.index) {
+            // One update per cluster, weighted by the cluster's total
+            // training-set size. The weight is static (configured data
+            // sizes, not per-round arrivals) — exact under wait_all at
+            // tier 1 and a documented simplification when a head
+            // aggregated a partial cluster.
+            std::vector<double> weights;
+            for (const std::vector<std::size_t>& cluster : topo.clusters) {
+                double samples = 0.0;
+                for (std::size_t m : cluster) {
+                    samples +=
+                        static_cast<double>(task_.client_train[m].size());
+                }
+                weights.push_back(samples);
+            }
+            stages_.push_back(
+                {.kind = ModelKind::cluster,
+                 .sources = topo.heads,
+                 .weights = std::move(weights),
+                 .policy = make_wait_policy(config_.topology.top_policy),
+                 .aggregation = make_aggregation_strategy(
+                     config_.topology.top_aggregation)});
+        }
+        install_store_filter();
     }
-    if (role != TierRole::flat) install_store_filter();
     // React to chain progress: every new head may complete a model.
     node_.on_new_head([this](const chain::Block&) {
         if (waiting_) poll_wait_policy();
@@ -55,56 +95,26 @@ BcflPeer::BcflPeer(node::Node& node, const fl::FlTask& task,
 }
 
 void BcflPeer::install_store_filter() {
-    // Ingest-side admission control: a hierarchical peer only ever reads a
-    // bounded slice of the registry, so everything else is dropped before
-    // it is buffered — per-peer model memory is O(tier fan-in), not
-    // O(roster). The sets below are tiny; linear scans beat hashing.
-    const Address top = roster_[config_.tier.top_head];
-    std::vector<Address> cluster_addrs;
-    for (std::size_t m : config_.tier.cluster) {
-        cluster_addrs.push_back(roster_[m]);
+    // Ingest-side admission control: a hierarchical peer only ever reads
+    // its stages' (tier, source) models and, unless it publishes it, the
+    // round's global model, so everything else is dropped before it is
+    // buffered — per-peer model memory is O(tier fan-in), not O(roster).
+    // The set is tiny; a linear scan beats hashing.
+    std::vector<std::pair<ModelKind, Address>> wanted;
+    for (const Stage& stage : stages_) {
+        for (std::size_t c : stage.sources) {
+            wanted.emplace_back(stage.kind, roster_[c]);
+        }
     }
-    std::vector<Address> head_addrs;
-    for (std::size_t h : config_.tier.heads) {
-        head_addrs.push_back(roster_[h]);
+    const std::size_t top = config_.resolved->top_head;
+    if (top != config_.index) {
+        wanted.emplace_back(ModelKind::global, roster_[top]);
     }
-    const auto contains = [](const std::vector<Address>& set,
-                             const Address& a) {
-        return std::find(set.begin(), set.end(), a) != set.end();
-    };
-    switch (config_.tier.role) {
-        case TierRole::member:
-            // Members only consume the top head's global model.
-            store_.set_filter([top](std::uint64_t round, const Address& owner) {
-                return tier_of(round) == ModelKind::global && owner == top;
-            });
-            break;
-        case TierRole::head:
-            store_.set_filter([top, cluster_addrs = std::move(cluster_addrs),
-                               contains](std::uint64_t round,
-                                         const Address& owner) {
-                const ModelKind kind = tier_of(round);
-                if (kind == ModelKind::member) {
-                    return contains(cluster_addrs, owner);
-                }
-                return kind == ModelKind::global && owner == top;
-            });
-            break;
-        case TierRole::top_head:
-            store_.set_filter([cluster_addrs = std::move(cluster_addrs),
-                               head_addrs = std::move(head_addrs),
-                               contains](std::uint64_t round,
-                                         const Address& owner) {
-                const ModelKind kind = tier_of(round);
-                if (kind == ModelKind::member) {
-                    return contains(cluster_addrs, owner);
-                }
-                return kind == ModelKind::cluster && contains(head_addrs, owner);
-            });
-            break;
-        case TierRole::flat:
-            break;
-    }
+    store_.set_filter([wanted = std::move(wanted)](std::uint64_t round,
+                                                   const Address& owner) {
+        return std::find(wanted.begin(), wanted.end(),
+                         std::pair{tier_of(round), owner}) != wanted.end();
+    });
 }
 
 void BcflPeer::run_rounds(std::size_t rounds) {
@@ -160,28 +170,17 @@ void BcflPeer::finish_training() {
     }
     records_.back().published_at = transport_.now();
 
-    switch (config_.tier.role) {
-        case TierRole::flat:
-            // Hand control to the WaitPolicy: it decides, from the
-            // evolving chain view, when this round's aggregation happens.
-            waiting_ = true;
-            ++wait_generation_;
-            timer_pending_ = false;
-            wait_policy_->begin_wait(round_view());
-            poll_wait_policy();
-            return;
-        case TierRole::member:
-            enter_phase(Phase::wait_global);
-            return;
-        case TierRole::head:
-        case TierRole::top_head:
-            enter_phase(Phase::wait_members);
-            return;
-    }
+    // Hand control to the first stage's WaitPolicy: it decides, from the
+    // evolving chain view, when that stage aggregates. A member has no
+    // stage and goes straight to waiting for the global model.
+    enter_stage(0);
 }
 
 void BcflPeer::publish_weights(std::uint64_t registry_round,
                                const std::vector<float>& weights) {
+    // One gas price for every model tx: no peer outbids another for block
+    // space.
+    constexpr std::uint64_t kGasPrice = 1;
     Bytes payload = ml::serialize_weights(weights);
     const Hash32 model_hash = ml::weights_digest(payload);
     payload.resize(payload.size() + config_.payload_pad_bytes, 0);
@@ -197,7 +196,7 @@ void BcflPeer::publish_weights(std::uint64_t registry_round,
             300'000;  // intrinsic upper bound + generous VM margin
         node_.submit_tx(chain::Transaction::make_signed(
             node_.key(), next_nonce_++, vm::registry_address(), gas_limit,
-            config_.gas_price, std::move(calldata)));
+            kGasPrice, std::move(calldata)));
     };
     submit(abi::publish_calldata(registry_round, model_hash, chunk_count,
                                  payload.size()));
@@ -219,7 +218,7 @@ std::optional<std::vector<float>> BcflPeer::chain_weights(
     // Strip ballast: the serialized blob's true length is implied by the
     // weight count every peer shares.
     const std::size_t expected =
-        4 + 1 + 8 + probe_->weight_count() * 4 + 32;
+        ml::serialized_weights_size(probe_->weight_count());
     if (blob.size() < expected) return std::nullopt;
     blob.resize(expected);
     if (ml::weights_digest(BytesView(blob)) != model->model_hash) {
@@ -232,25 +231,38 @@ std::optional<std::vector<float>> BcflPeer::chain_weights(
     }
 }
 
-RoundView BcflPeer::round_view() {
+void BcflPeer::enter_stage(std::size_t stage) {
+    stage_ = stage;
+    stage_started_ = transport_.now();
+    waiting_ = true;
+    ++wait_generation_;  // cancels the previous stage's pending timers
+    timer_pending_ = false;
+    if (stage_ < stages_.size()) {
+        stages_[stage_].policy->begin_wait(stage_view());
+    }
+    poll_wait_policy();
+}
+
+RoundView BcflPeer::stage_view() {
     store_.sync(node_.chain());
+    const Stage& stage = stages_[stage_];
+    const std::uint64_t round = tier_round(stage.kind, current_round_);
     RoundView view;
     view.round = current_round_;
-    view.roster_size = roster_.size();
+    view.roster_size = stage.sources.size();
     view.now = transport_.now();
-    view.wait_started = records_.back().published_at;
-    for (std::size_t c = 0; c < roster_.size(); ++c) {
+    view.wait_started = stage_started_;
+    for (std::size_t c : stage.sources) {
         if (c == config_.index) {
-            ++view.models_available;  // own update is local
+            ++view.models_available;  // own input is local
             continue;
         }
-        if (const PublishedModel* m = store_.find(current_round_, roster_[c]);
+        if (const PublishedModel* m = store_.find(round, roster_[c]);
             m != nullptr && m->complete()) {
             ++view.models_available;
-        } else if (aggregation_->wants_stale_updates() &&
-                   store_.latest_complete(roster_[c], current_round_) !=
-                       nullptr) {
-            // Backfill candidate. Counted only when the strategy will
+        } else if (stage.backfill_stale &&
+                   store_.latest_complete(roster_[c], round) != nullptr) {
+            // Backfill candidate. Counted only when the stage will
             // actually consume stale models — the lookup walks the model
             // map and this runs on every head event and policy timer.
             ++view.stale_available;
@@ -261,39 +273,18 @@ RoundView BcflPeer::round_view() {
 
 void BcflPeer::poll_wait_policy() {
     if (!waiting_) return;
-    // Hierarchical phases carry their own (policy, view, aggregate) triple;
-    // Phase::idle while waiting means the flat single-tier loop.
-    WaitPolicy* policy = wait_policy_.get();
-    RoundView view;
-    switch (phase_) {
-        case Phase::idle:
-            view = round_view();
-            break;
-        case Phase::wait_members:
-            policy = head_policy_.get();
-            view = cluster_view();
-            break;
-        case Phase::wait_clusters:
-            policy = top_policy_.get();
-            view = top_view();
-            break;
-        case Phase::wait_global:
-            poll_wait_global();
-            return;
-    }
-    const WaitDecision decision = policy->decide(view);
-    if (decision != WaitDecision::keep_waiting) {
-        const bool timed_out = decision == WaitDecision::timed_out;
-        if (phase_ == Phase::wait_members) {
-            aggregate_members(timed_out);
-        } else if (phase_ == Phase::wait_clusters) {
-            aggregate_clusters(timed_out);
-        } else {
-            aggregate(timed_out);
-        }
+    if (stage_ == stages_.size()) {
+        poll_wait_global();
         return;
     }
-    if (const auto deadline = policy->next_deadline(view);
+    WaitPolicy& policy = *stages_[stage_].policy;
+    const RoundView view = stage_view();
+    const WaitDecision decision = policy.decide(view);
+    if (decision != WaitDecision::keep_waiting) {
+        aggregate(decision == WaitDecision::timed_out);
+        return;
+    }
+    if (const auto deadline = policy.next_deadline(view);
         deadline.has_value()) {
         schedule_policy_timer(*deadline);
     }
@@ -314,324 +305,63 @@ void BcflPeer::schedule_policy_timer(net::SimTime when) {
     });
 }
 
-void BcflPeer::enter_phase(Phase phase) {
-    phase_ = phase;
-    phase_started_ = transport_.now();
-    waiting_ = true;
-    ++wait_generation_;  // cancels the previous phase's pending timers
-    timer_pending_ = false;
-    if (phase == Phase::wait_members) {
-        head_policy_->begin_wait(cluster_view());
-    } else if (phase == Phase::wait_clusters) {
-        top_policy_->begin_wait(top_view());
-    }
-    // Phase::wait_global is a plain deadline wait; no policy to arm.
-    poll_wait_policy();
-}
-
-RoundView BcflPeer::cluster_view() {
-    store_.sync(node_.chain());
-    RoundView view;
-    view.round = current_round_;
-    view.roster_size = config_.tier.cluster.size();
-    view.now = transport_.now();
-    view.wait_started = phase_started_;
-    const std::uint64_t member_round =
-        tier_round(ModelKind::member, current_round_);
-    for (std::size_t m : config_.tier.cluster) {
-        if (m == config_.index) {
-            ++view.models_available;  // own update is local
-            continue;
-        }
-        if (const PublishedModel* model = store_.find(member_round, roster_[m]);
-            model != nullptr && model->complete()) {
-            ++view.models_available;
-        }
-        // Tier aggregation never backfills stale models: a straggler's
-        // earlier-round weights re-enter through the next round instead.
-    }
-    return view;
-}
-
-RoundView BcflPeer::top_view() {
-    store_.sync(node_.chain());
-    RoundView view;
-    view.round = current_round_;
-    view.roster_size = config_.tier.heads.size();
-    view.now = transport_.now();
-    view.wait_started = phase_started_;
-    const std::uint64_t cluster_round =
-        tier_round(ModelKind::cluster, current_round_);
-    for (std::size_t h : config_.tier.heads) {
-        if (h == config_.index) {
-            ++view.models_available;  // own cluster model is local
-            continue;
-        }
-        if (const PublishedModel* model =
-                store_.find(cluster_round, roster_[h]);
-            model != nullptr && model->complete()) {
-            ++view.models_available;
-        }
-    }
-    return view;
-}
-
-void BcflPeer::aggregate_members(bool timed_out) {
-    waiting_ = false;
-    ++wait_generation_;
-    timer_pending_ = false;
-    store_.sync(node_.chain());
-
-    PeerRoundRecord& record = records_.back();
-    record.timed_out = record.timed_out || timed_out;
-
-    // Tier-1 inputs: the cluster's member models, in sorted member order.
-    // roster_indices/names stay in the *global* index space so combination
-    // labels and reputation tracking read the same across tiers.
-    const std::uint64_t member_round =
-        tier_round(ModelKind::member, current_round_);
-    std::vector<fl::ModelUpdate> updates;
-    std::vector<std::size_t> roster_indices;
-    std::vector<UpdateMeta> meta;
-    std::size_t self_pos = 0;
-    for (std::size_t m : config_.tier.cluster) {
-        if (m == config_.index) {
-            self_pos = updates.size();
-            updates.push_back(
-                {own_update_,
-                 static_cast<double>(task_.client_train[m].size())});
-            roster_indices.push_back(m);
-            meta.push_back({current_round_, record.published_at, 0});
-            continue;
-        }
-        auto weights = chain_weights(member_round, roster_[m]);
-        if (!weights.has_value()) continue;
-        const PublishedModel* model = store_.find(member_round, roster_[m]);
-        updates.push_back(
-            {std::move(*weights),
-             static_cast<double>(task_.client_train[m].size())});
-        roster_indices.push_back(m);
-        meta.push_back({current_round_, model->completed_at, 0});
-    }
-
-    AggregationInput input;
-    input.updates = updates;
-    input.roster_indices = roster_indices;
-    input.meta = meta;
-    input.self_pos = self_pos;
-    input.roster_size = roster_.size();
-    input.round = current_round_;
-    input.now = transport_.now();
-    input.names = client_names();
-    input.evaluate = [this](std::span<const float> candidate) {
-        probe_->set_weights(candidate);
-        return probe_->evaluate(task_.client_test[config_.index]);
-    };
-    input.make_evaluator =
-        [this]() -> std::function<double(std::span<const float>)> {
-        std::shared_ptr<fl::FlModel> probe = task_.make_model();
-        return [this, probe](std::span<const float> candidate) {
-            probe->set_weights(candidate);
-            return probe->evaluate(task_.client_test[config_.index]);
-        };
-    };
-    AggregationResult outcome = head_aggregation_->aggregate(input);
-
-    cluster_weights_ = std::move(outcome.weights);
-    record.combos = std::move(outcome.combos);
-    record.filtered_out = std::move(outcome.filtered_out);
-    record.models_available = updates.size() - record.filtered_out.size();
-    record.chosen_label = std::move(outcome.chosen_label);
-    record.chosen_accuracy = outcome.chosen_accuracy;
-
-    if (config_.tier.role == TierRole::top_head) {
-        enter_phase(Phase::wait_clusters);
-        return;
-    }
-    publish_weights(tier_round(ModelKind::cluster, current_round_),
-                    cluster_weights_);
-    enter_phase(Phase::wait_global);
-}
-
-void BcflPeer::aggregate_clusters(bool timed_out) {
-    waiting_ = false;
-    ++wait_generation_;
-    timer_pending_ = false;
-    store_.sync(node_.chain());
-
-    PeerRoundRecord& record = records_.back();
-    record.timed_out = record.timed_out || timed_out;
-
-    // Tier-2 inputs: one update per cluster, weighted by the cluster's
-    // total training-set size. The weight is static (configured data
-    // sizes, not per-round arrivals) — exact under wait_all at tier 1 and
-    // a documented simplification when a head aggregated a partial
-    // cluster.
-    const std::uint64_t cluster_round =
-        tier_round(ModelKind::cluster, current_round_);
-    std::vector<fl::ModelUpdate> updates;
-    std::vector<std::size_t> roster_indices;
-    std::vector<UpdateMeta> meta;
-    std::size_t self_pos = 0;
-    for (std::size_t k = 0; k < config_.tier.heads.size(); ++k) {
-        const std::size_t head = config_.tier.heads[k];
-        double samples = 0.0;
-        for (std::size_t m : config_.tier.clusters[k]) {
-            samples += static_cast<double>(task_.client_train[m].size());
-        }
-        if (head == config_.index) {
-            self_pos = updates.size();
-            updates.push_back({cluster_weights_, samples});
-            roster_indices.push_back(head);
-            meta.push_back({current_round_, transport_.now(), 0});
-            continue;
-        }
-        auto weights = chain_weights(cluster_round, roster_[head]);
-        if (!weights.has_value()) continue;
-        const PublishedModel* model = store_.find(cluster_round, roster_[head]);
-        updates.push_back({std::move(*weights), samples});
-        roster_indices.push_back(head);
-        meta.push_back({current_round_, model->completed_at, 0});
-    }
-
-    AggregationInput input;
-    input.updates = updates;
-    input.roster_indices = roster_indices;
-    input.meta = meta;
-    input.self_pos = self_pos;
-    input.roster_size = roster_.size();
-    input.round = current_round_;
-    input.now = transport_.now();
-    input.names = client_names();
-    input.evaluate = [this](std::span<const float> candidate) {
-        probe_->set_weights(candidate);
-        return probe_->evaluate(task_.client_test[config_.index]);
-    };
-    input.make_evaluator =
-        [this]() -> std::function<double(std::span<const float>)> {
-        std::shared_ptr<fl::FlModel> probe = task_.make_model();
-        return [this, probe](std::span<const float> candidate) {
-            probe->set_weights(candidate);
-            return probe->evaluate(task_.client_test[config_.index]);
-        };
-    };
-    AggregationResult outcome = top_aggregation_->aggregate(input);
-
-    publish_weights(tier_round(ModelKind::global, current_round_),
-                    outcome.weights);
-    global_weights_ = std::move(outcome.weights);
-    // Keep the tier-1 rows and append the tier-2 ones: one record carries
-    // the whole round's table rows, like a flat round does.
-    record.combos.insert(record.combos.end(),
-                         std::make_move_iterator(outcome.combos.begin()),
-                         std::make_move_iterator(outcome.combos.end()));
-    record.chosen_label = "global";
-    record.chosen_accuracy = outcome.chosen_accuracy;
-    complete_round();
-}
-
-void BcflPeer::poll_wait_global() {
-    store_.sync(node_.chain());
-    PeerRoundRecord& record = records_.back();
-    const auto evaluate = [this](const std::vector<float>& weights) {
-        probe_->set_weights(weights);
-        return probe_->evaluate(task_.client_test[config_.index]);
-    };
-    if (auto weights =
-            chain_weights(tier_round(ModelKind::global, current_round_),
-                          roster_[config_.tier.top_head]);
-        weights.has_value()) {
-        waiting_ = false;
-        ++wait_generation_;
-        timer_pending_ = false;
-        global_weights_ = std::move(*weights);
-        record.chosen_label = "global";
-        record.chosen_accuracy = evaluate(global_weights_);
-        if (config_.tier.role == TierRole::member) {
-            record.models_available = 1;  // the adopted global model
-        }
-        complete_round();
-        return;
-    }
-    const net::SimTime deadline =
-        phase_started_ + config_.tier.member_timeout;
-    if (transport_.now() >= deadline) {
-        // Give up on this round's global model: fall back to the best
-        // model this role holds and move on (the "not to wait" branch at
-        // the hierarchy's edges).
-        waiting_ = false;
-        ++wait_generation_;
-        timer_pending_ = false;
-        record.timed_out = true;
-        if (config_.tier.role == TierRole::head) {
-            global_weights_ = cluster_weights_;
-            record.chosen_label = "cluster";
-        } else {
-            global_weights_ = own_update_;
-            record.chosen_label = "self";
-        }
-        record.chosen_accuracy = evaluate(global_weights_);
-        complete_round();
-        return;
-    }
-    schedule_policy_timer(deadline);
-}
-
-void BcflPeer::complete_round() {
-    records_.back().aggregated_at = transport_.now();
-    ++completed_rounds_;
-    phase_ = Phase::idle;
-    begin_round();
-}
-
-void BcflPeer::aggregate(bool timed_out) {
+void BcflPeer::stop_waiting() {
     waiting_ = false;
     ++wait_generation_;  // cancels pending policy timers
     timer_pending_ = false;
+}
+
+void BcflPeer::aggregate(bool timed_out) {
+    stop_waiting();
     store_.sync(node_.chain());
 
+    const Stage& stage = stages_[stage_];
+    const bool member_tier = stage.kind == ModelKind::member;
+    const std::uint64_t round = tier_round(stage.kind, current_round_);
     PeerRoundRecord& record = records_.back();
+    record.timed_out = record.timed_out || timed_out;
 
-    // Collect this round's available updates in roster order, with their
+    // Collect the stage's available updates in source order, with their
     // provenance (origin round, on-chain arrival, staleness); what to do
     // with them (combination search, FedAvg, robust trimming, staleness
     // decay, fitness filtering) is entirely the AggregationStrategy's
-    // business. Strategies that opt in via wants_stale_updates get missing
-    // contributors backfilled with their newest earlier-round model.
-    const bool backfill_stale = aggregation_->wants_stale_updates();
+    // business. Indices and names stay in the global roster space, so
+    // combination labels and reputation tracking read the same at every
+    // tier. A backfilling stage gives a missing source its newest
+    // earlier-round model.
     std::vector<fl::ModelUpdate> updates;
     std::vector<std::size_t> roster_indices;
     std::vector<UpdateMeta> meta;
     std::size_t self_pos = 0;
-    for (std::size_t c = 0; c < roster_.size(); ++c) {
+    for (std::size_t i = 0; i < stage.sources.size(); ++i) {
+        const std::size_t c = stage.sources[i];
         if (c == config_.index) {
+            // The own input is local: the trained update, or at the
+            // cluster stage this head's cluster model, aggregated now.
             self_pos = updates.size();
-            updates.push_back(
-                {own_update_,
-                 static_cast<double>(task_.client_train[c].size())});
+            updates.push_back({member_tier ? own_update_ : cluster_weights_,
+                               stage.weights[i]});
             roster_indices.push_back(c);
-            meta.push_back({current_round_, record.published_at, 0});
+            meta.push_back({current_round_,
+                            member_tier ? record.published_at
+                                        : transport_.now(),
+                            0});
             continue;
         }
-        if (auto weights = chain_weights(current_round_, roster_[c]);
+        if (auto weights = chain_weights(round, roster_[c]);
             weights.has_value()) {
-            const PublishedModel* m = store_.find(current_round_, roster_[c]);
-            updates.push_back(
-                {std::move(*weights),
-                 static_cast<double>(task_.client_train[c].size())});
+            const PublishedModel* m = store_.find(round, roster_[c]);
+            updates.push_back({std::move(*weights), stage.weights[i]});
             roster_indices.push_back(c);
             meta.push_back({current_round_, m->completed_at, 0});
             continue;
         }
-        if (!backfill_stale) continue;
-        const PublishedModel* stale =
-            store_.latest_complete(roster_[c], current_round_);
+        if (!stage.backfill_stale) continue;
+        const PublishedModel* stale = store_.latest_complete(roster_[c], round);
         if (stale == nullptr) continue;
         auto weights = chain_weights(stale->round, roster_[c]);
         if (!weights.has_value()) continue;  // integrity check failed
-        updates.push_back(
-            {std::move(*weights),
-             static_cast<double>(task_.client_train[c].size())});
+        updates.push_back({std::move(*weights), stage.weights[i]});
         roster_indices.push_back(c);
         meta.push_back({static_cast<std::size_t>(stale->round),
                         stale->completed_at,
@@ -640,8 +370,6 @@ void BcflPeer::aggregate(bool timed_out) {
         ++record.stale_models_used;
     }
 
-    record.timed_out = timed_out;
-
     AggregationInput input;
     input.updates = updates;
     input.roster_indices = roster_indices;
@@ -652,8 +380,7 @@ void BcflPeer::aggregate(bool timed_out) {
     input.now = transport_.now();
     input.names = client_names();
     input.evaluate = [this](std::span<const float> candidate) {
-        probe_->set_weights(candidate);
-        return probe_->evaluate(task_.client_test[config_.index]);
+        return evaluate(candidate);
     };
     // Independent per-worker probes so strategies can score candidate
     // combinations in parallel inside this sim event (core/parallel).
@@ -667,17 +394,87 @@ void BcflPeer::aggregate(bool timed_out) {
             return probe->evaluate(task_.client_test[config_.index]);
         };
     };
-    AggregationResult outcome = aggregation_->aggregate(input);
+    AggregationResult outcome = stage.aggregation->aggregate(input);
 
-    global_weights_ = std::move(outcome.weights);
-    record.combos = std::move(outcome.combos);
-    record.filtered_out = std::move(outcome.filtered_out);
-    // Models that actually entered aggregation (fitness-filtered updates
-    // excluded, matching the pre-policy-API record semantics).
-    record.models_available = updates.size() - record.filtered_out.size();
-    record.chosen_label = std::move(outcome.chosen_label);
+    // One record carries the whole round's table rows: the cluster stage
+    // appends its rows to the member stage's.
+    record.combos.insert(record.combos.end(),
+                         std::make_move_iterator(outcome.combos.begin()),
+                         std::make_move_iterator(outcome.combos.end()));
     record.chosen_accuracy = outcome.chosen_accuracy;
+    if (member_tier) {
+        record.filtered_out = std::move(outcome.filtered_out);
+        // Models that actually entered aggregation (fitness-filtered
+        // updates excluded).
+        record.models_available = updates.size() - record.filtered_out.size();
+        record.chosen_label = std::move(outcome.chosen_label);
+    } else {
+        record.chosen_label = "global";
+    }
+
+    if (member_tier && config_.resolved != nullptr) {
+        // A head's cluster model: the top head feeds it to its cluster
+        // stage; any other head publishes it and waits for the global model.
+        cluster_weights_ = std::move(outcome.weights);
+        if (stage_ + 1 == stages_.size()) {
+            publish_weights(tier_round(ModelKind::cluster, current_round_),
+                            cluster_weights_);
+        }
+        enter_stage(stage_ + 1);
+        return;
+    }
+    // The round's model; in a hierarchy the top head publishes it for
+    // everyone else.
+    if (config_.resolved != nullptr) {
+        publish_weights(tier_round(ModelKind::global, current_round_),
+                        outcome.weights);
+    }
+    global_weights_ = std::move(outcome.weights);
     complete_round();
+}
+
+void BcflPeer::poll_wait_global() {
+    store_.sync(node_.chain());
+    PeerRoundRecord& record = records_.back();
+    const bool member = stages_.empty();
+    if (auto weights =
+            chain_weights(tier_round(ModelKind::global, current_round_),
+                          roster_[config_.resolved->top_head]);
+        weights.has_value()) {
+        stop_waiting();
+        global_weights_ = std::move(*weights);
+        record.chosen_label = "global";
+        record.chosen_accuracy = evaluate(global_weights_);
+        if (member) record.models_available = 1;  // the adopted global model
+        complete_round();
+        return;
+    }
+    const net::SimTime deadline =
+        stage_started_ + config_.topology.member_timeout;
+    if (transport_.now() >= deadline) {
+        // Give up on this round's global model: fall back to the best
+        // model this role holds and move on (the "not to wait" branch at
+        // the hierarchy's edges).
+        stop_waiting();
+        record.timed_out = true;
+        global_weights_ = member ? own_update_ : cluster_weights_;
+        record.chosen_label = member ? "self" : "cluster";
+        record.chosen_accuracy = evaluate(global_weights_);
+        complete_round();
+        return;
+    }
+    schedule_policy_timer(deadline);
+}
+
+void BcflPeer::complete_round() {
+    records_.back().aggregated_at = transport_.now();
+    ++completed_rounds_;
+    begin_round();
+}
+
+double BcflPeer::evaluate(std::span<const float> weights) {
+    probe_->set_weights(weights);
+    return probe_->evaluate(task_.client_test[config_.index]);
 }
 
 std::string BcflPeer::client_names() const {

@@ -13,12 +13,16 @@
 //      the next global model and reports the per-combination accuracy rows
 //      — the rows of Tables II, III and IV.
 //
-// The wait/aggregation axis is fully pluggable: see core/policy.hpp.
+// Steps 3 and 4 form a stage; a peer in a hierarchy (core/topology.hpp)
+// runs as many stages as its role has, none to two. The wait/aggregation
+// axis is fully pluggable: see core/policy.hpp.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,36 +36,6 @@
 
 namespace bcfl::core {
 
-/// Role a peer plays in a hierarchical topology (core/topology.hpp).
-/// `flat` (the default) is the original single-tier round loop.
-enum class TierRole : std::uint8_t { flat, member, head, top_head };
-
-/// Per-peer tier wiring, derived from a ResolvedTopology by the experiment
-/// runner. Fields beyond a role's needs may stay empty: members use only
-/// `top_head` and `member_timeout`; heads add `cluster` and the head
-/// specs; the top head additionally needs `heads`, `clusters` and the top
-/// specs.
-struct PeerTierConfig {
-    TierRole role = TierRole::flat;
-    /// Own cluster's members (sorted, including self) — head roles.
-    std::vector<std::size_t> cluster;
-    /// All clusters (normalized) — top head only, for cluster weighting.
-    std::vector<std::vector<std::size_t>> clusters;
-    /// All cluster heads, aligned with `clusters` — top head only.
-    std::vector<std::size_t> heads;
-    /// Roster index of the tier-2 aggregator publishing the global model.
-    std::size_t top_head = 0;
-
-    /// Tier policy/aggregation factory specs (core/policy.hpp).
-    std::string head_policy = "wait_all,timeout=900s";
-    std::string head_aggregation = "fedavg_all";
-    std::string top_policy = "wait_all,timeout=900s";
-    std::string top_aggregation = "fedavg_all";
-
-    /// Give-up deadline while waiting for the round's global model.
-    net::SimTime member_timeout = net::seconds(1800);
-};
-
 struct PeerConfig {
     std::size_t index = 0;  // client index (0 = A, 1 = B, ...)
     /// Simulated wall-clock duration of one local training pass.
@@ -69,7 +43,6 @@ struct PeerConfig {
     /// CPU fraction consumed while training (contends with mining).
     double train_cpu_load = 0.8;
     std::size_t chunk_bytes = 24 * 1024;
-    std::uint64_t gas_price = 1;
     /// Extra ballast bytes appended to the published payload to emulate
     /// paper-scale model sizes (e.g. EfficientNet-B0's 21.2 MB) — see E4.
     std::size_t payload_pad_bytes = 0;
@@ -82,17 +55,19 @@ struct PeerConfig {
     /// missing and take their configured asynchronous path.
     net::SimTime start_delay = 0;
 
-    /// WaitPolicy factory spec (see core/policy.hpp), e.g.
+    /// The flat round's WaitPolicy factory spec (see core/policy.hpp), e.g.
     /// "wait_all,timeout=900s", "adaptive,base=60s,extend=30s,max=300s" or
     /// "schedule,1-5:wait_all,6+:deadline=600s".
     std::string wait_policy = "wait_for=3,timeout=900s";
-    /// AggregationStrategy factory spec, e.g. "best_combination",
+    /// The flat round's AggregationStrategy spec, e.g. "best_combination",
     /// "trimmed_mean,trim=1" or "staleness_fedavg,half_life=2r".
     std::string aggregation = "best_combination";
 
-    /// Hierarchical wiring; `tier.role == flat` leaves the original
-    /// single-tier loop untouched (bit-identical output).
-    PeerTierConfig tier;
+    /// Hierarchical committee: the tier policy specs and member timeout
+    /// come from `topology`, the partition from `resolved`, which every
+    /// peer of a run shares. A null `resolved` runs the flat round.
+    TopologyConfig topology;
+    std::shared_ptr<const ResolvedTopology> resolved;
 };
 
 struct PeerRoundRecord {
@@ -136,58 +111,50 @@ public:
     [[nodiscard]] const std::vector<float>& current_weights() const {
         return global_weights_;
     }
-    [[nodiscard]] std::size_t index() const { return config_.index; }
-    [[nodiscard]] const node::Node& node() const { return node_; }
-    [[nodiscard]] const WaitPolicy& wait_policy() const {
-        return *wait_policy_;
-    }
-    [[nodiscard]] const AggregationStrategy& aggregation() const {
-        return *aggregation_;
-    }
 
 private:
-    /// Hierarchical round progress. A flat peer stays in `idle` between
-    /// training and its single aggregation; hierarchical roles step through
-    /// the tiers: heads wait_members -> (publish cluster model) ->
-    /// wait_global; the top head wait_members -> wait_clusters; members go
-    /// straight to wait_global after publishing.
-    enum class Phase : std::uint8_t {
-        idle,
-        wait_members,
-        wait_clusters,
-        wait_global,
+    /// One wait-then-aggregate step of a round: the WaitPolicy watches the
+    /// sources' models of one registry tier arrive, then the strategy
+    /// aggregates the ones that did. A flat peer runs one stage over the
+    /// roster, a cluster head one over its cluster, and the top head two:
+    /// its cluster, then the heads' cluster models. A member runs none.
+    struct Stage {
+        ModelKind kind = ModelKind::member;  // registry tier of the inputs
+        std::vector<std::size_t> sources;    // roster indices, self included
+        std::vector<double> weights;         // FedAvg weight per source
+        std::unique_ptr<WaitPolicy> policy;
+        std::unique_ptr<AggregationStrategy> aggregation;
+        /// Missing sources fall back to their newest earlier-round model.
+        bool backfill_stale = false;
     };
 
     void begin_round();
     void finish_training();
     void publish_weights(std::uint64_t registry_round,
                          const std::vector<float>& weights);
-    /// Consults the WaitPolicy against the current chain view and either
-    /// aggregates or (re)schedules the policy's next deadline.
+    /// Makes `stage` current, arms its policy and polls it once. Past the
+    /// last stage a hierarchical peer waits for the round's global model.
+    void enter_stage(std::size_t stage);
+    /// Consults the current stage's WaitPolicy against the chain view and
+    /// either aggregates or (re)schedules the policy's next deadline.
     void poll_wait_policy();
     void schedule_policy_timer(net::SimTime when);
-    [[nodiscard]] RoundView round_view();
+    /// Chain view over the current stage's sources.
+    [[nodiscard]] RoundView stage_view();
+    /// Aggregates the current stage's available models, then enters the
+    /// next stage, publishes the tier model or completes the round.
     void aggregate(bool timed_out);
-    [[nodiscard]] std::string client_names() const;
-    [[nodiscard]] std::optional<std::vector<float>> chain_weights(
-        std::uint64_t round, const Address& owner) const;
-
-    // --- hierarchical tiers (no-ops for TierRole::flat) ---
-    /// Arms `phase` with the matching tier policy and polls it once.
-    void enter_phase(Phase phase);
-    /// Chain view over this head's cluster members (tier-1 wait).
-    [[nodiscard]] RoundView cluster_view();
-    /// Chain view over the cluster heads' cluster models (tier-2 wait).
-    [[nodiscard]] RoundView top_view();
-    /// Head: aggregates member models into the cluster model and either
-    /// publishes it (plain head) or advances to wait_clusters (top head).
-    void aggregate_members(bool timed_out);
-    /// Top head: merges cluster models into the round's global model.
-    void aggregate_clusters(bool timed_out);
     /// Member/head: adopts the published global model (or falls back to the
     /// best local tier model after member_timeout).
     void poll_wait_global();
     void complete_round();
+    /// Closes the current wait: pending policy timers become no-ops.
+    void stop_waiting();
+    /// Accuracy of `weights` on this peer's local test set.
+    [[nodiscard]] double evaluate(std::span<const float> weights);
+    [[nodiscard]] std::string client_names() const;
+    [[nodiscard]] std::optional<std::vector<float>> chain_weights(
+        std::uint64_t round, const Address& owner) const;
     /// Restricts ModelStore ingest to the registry rounds/owners this role
     /// can ever consume, bounding per-peer memory to its tier fan-in.
     void install_store_filter();
@@ -197,19 +164,13 @@ private:
     const fl::FlTask& task_;
     std::vector<Address> roster_;
     PeerConfig config_;
-
-    std::unique_ptr<WaitPolicy> wait_policy_;
-    std::unique_ptr<AggregationStrategy> aggregation_;
-    // Tier policies (constructed only for the roles that use them).
-    std::unique_ptr<WaitPolicy> head_policy_;
-    std::unique_ptr<AggregationStrategy> head_aggregation_;
-    std::unique_ptr<WaitPolicy> top_policy_;
-    std::unique_ptr<AggregationStrategy> top_aggregation_;
+    std::vector<Stage> stages_;
 
     std::unique_ptr<fl::FlModel> model_;   // training instance
     std::unique_ptr<fl::FlModel> probe_;   // evaluation instance
     std::vector<float> global_weights_;    // chosen model entering the round
     std::vector<float> own_update_;        // this round's trained weights
+    std::vector<float> cluster_weights_;   // head's cluster-stage aggregate
     ModelStore store_;
 
     std::size_t target_rounds_ = 0;
@@ -220,9 +181,8 @@ private:
     std::uint64_t wait_generation_ = 0;
     bool timer_pending_ = false;           // a policy deadline is scheduled
     net::SimTime timer_at_ = 0;
-    Phase phase_ = Phase::idle;
-    net::SimTime phase_started_ = 0;
-    std::vector<float> cluster_weights_;   // head's tier-1 aggregate
+    std::size_t stage_ = 0;                // index into stages_
+    net::SimTime stage_started_ = 0;
     std::vector<PeerRoundRecord> records_;
 };
 

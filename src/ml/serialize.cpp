@@ -22,6 +22,10 @@ static_assert(std::endian::native == std::endian::little,
               "serializer assumes a little-endian host");
 }  // namespace
 
+std::size_t serialized_weights_size(std::size_t count) {
+    return kHeader + count * 4 + kDigest;
+}
+
 Bytes serialize_weights(std::span<const float> weights) {
     if (weights.size() > kMaxWeights) {
         throw ShapeError("weights: parameter count exceeds cap");
@@ -55,7 +59,7 @@ std::vector<float> deserialize_weights(BytesView blob) {
         // Also guards the size check below: count * 4 can no longer wrap.
         throw DecodeError("weights: parameter count exceeds cap");
     }
-    if (blob.size() != kHeader + count * 4 + kDigest) {
+    if (blob.size() != serialized_weights_size(count)) {
         throw DecodeError("weights: length mismatch");
     }
     const Hash32 expected =

@@ -15,6 +15,9 @@ namespace bcfl::ml {
 /// Serializes a flat weight vector.
 [[nodiscard]] Bytes serialize_weights(std::span<const float> weights);
 
+/// Byte length of `serialize_weights` output for `count` weights.
+[[nodiscard]] std::size_t serialized_weights_size(std::size_t count);
+
 /// Parses and integrity-checks a serialized blob. Throws DecodeError.
 [[nodiscard]] std::vector<float> deserialize_weights(BytesView blob);
 

@@ -149,8 +149,8 @@ std::string hier_spec_text(const std::string& clusters) {
       })";
 }
 
-TEST(HierarchyRun, AllPeersAdoptIdenticalGlobalModelUnderWaitAll) {
-    const fl::FlTask task = tiny_task();
+/// Two clusters of three: heads 0 and 3, top head 0.
+DecentralizedConfig two_cluster_config() {
     DecentralizedConfig config;
     config.peers = 6;
     config.rounds = 2;
@@ -158,7 +158,12 @@ TEST(HierarchyRun, AllPeersAdoptIdenticalGlobalModelUnderWaitAll) {
     config.train_duration = net::seconds(10);
     config.seed = 13;
     config.topology.cluster_size = 3;
-    const DecentralizedResult result = run_decentralized(task, config);
+    return config;
+}
+
+TEST(HierarchyRun, AllPeersAdoptIdenticalGlobalModelUnderWaitAll) {
+    const DecentralizedResult result =
+        run_decentralized(tiny_task(), two_cluster_config());
     ASSERT_EQ(result.final_model_digests.size(), 6u);
     for (std::size_t p = 1; p < result.final_model_digests.size(); ++p) {
         EXPECT_EQ(result.final_model_digests[p],
@@ -170,6 +175,57 @@ TEST(HierarchyRun, AllPeersAdoptIdenticalGlobalModelUnderWaitAll) {
         for (const PeerRoundRecord& record : records) {
             EXPECT_EQ(record.chosen_label, "global");
             EXPECT_FALSE(record.timed_out);
+        }
+    }
+}
+
+TEST(HierarchyRun, SilentTopHeadSendsTheOthersToTheirFallbacks) {
+    // The top head trains for 600 s, so no global model appears within
+    // member_timeout: members fall back to their own update, the other
+    // head to its cluster model, and only the top head records the global
+    // model it publishes late.
+    DecentralizedConfig config = two_cluster_config();
+    config.stragglers = {0};
+    config.straggler_train_duration = net::seconds(600);
+    config.topology.member_timeout = net::seconds(120);
+    const DecentralizedResult result = run_decentralized(tiny_task(), config);
+    ASSERT_EQ(result.peer_records.size(), 6u);
+    for (std::size_t p = 0; p < 6; ++p) {
+        const auto& records = result.peer_records[p];
+        ASSERT_EQ(records.size(), 2u) << "peer " << p;
+        for (const PeerRoundRecord& record : records) {
+            if (p == 0) {
+                EXPECT_EQ(record.chosen_label, "global");
+            } else if (p == 3) {
+                EXPECT_EQ(record.chosen_label, "cluster");
+                EXPECT_TRUE(record.timed_out);
+            } else {
+                EXPECT_EQ(record.chosen_label, "self") << "peer " << p;
+                EXPECT_TRUE(record.timed_out) << "peer " << p;
+            }
+        }
+    }
+}
+
+TEST(HierarchyRun, HeadDeadlineAggregatesAPartialCluster) {
+    // Member 4 trains for 600 s; head 3's 60 s deadline closes its cluster
+    // stage on its own and member 5's models. The round still ends in the
+    // global model everywhere, the straggler included: it adopts the
+    // global model already on chain when it finishes training.
+    DecentralizedConfig config = two_cluster_config();
+    config.stragglers = {4};
+    config.straggler_train_duration = net::seconds(600);
+    config.topology.head_policy = "deadline=60s";
+    const DecentralizedResult result = run_decentralized(tiny_task(), config);
+    ASSERT_EQ(result.peer_records.size(), 6u);
+    for (std::size_t p = 0; p < 6; ++p) {
+        ASSERT_EQ(result.peer_records[p].size(), 2u) << "peer " << p;
+        for (const PeerRoundRecord& record : result.peer_records[p]) {
+            EXPECT_EQ(record.chosen_label, "global") << "peer " << p;
+            if (p == 3) {
+                EXPECT_TRUE(record.timed_out);
+                EXPECT_EQ(record.models_available, 2u);
+            }
         }
     }
 }

@@ -392,6 +392,14 @@ TEST(Serialize, RoundTrip) {
     EXPECT_EQ(deserialize_weights(blob), weights);
 }
 
+TEST(Serialize, SizeMatchesSerializedBlob) {
+    for (std::size_t count : {0u, 1u, 100u}) {
+        const std::vector<float> weights(count, 0.25f);
+        EXPECT_EQ(serialized_weights_size(count),
+                  serialize_weights(weights).size());
+    }
+}
+
 TEST(Serialize, DetectsCorruption) {
     std::vector<float> weights(100, 0.5f);
     Bytes blob = serialize_weights(weights);
