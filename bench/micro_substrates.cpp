@@ -30,7 +30,10 @@
 #include "fl/task.hpp"
 #include "ml/data.hpp"
 #include "ml/layers.hpp"
+#include "ml/loss.hpp"
 #include "ml/models.hpp"
+#include "ml/optimizer.hpp"
+#include "ml/tensor.hpp"
 #include "rlp/rlp.hpp"
 #include "vm/analysis.hpp"
 #include "vm/evm.hpp"
@@ -316,26 +319,78 @@ void BM_VmAnalysis(benchmark::State& state) {
 }
 BENCHMARK(BM_VmAnalysis)->Unit(benchmark::kMillisecond)->Iterations(1);
 
-void BM_MatmulNN(benchmark::State& state) {
-    const std::size_t n = static_cast<std::size_t>(state.range(0));
-    std::vector<float> a(n * n, 1.5f), b(n * n, 0.5f), out(n * n);
-    for (auto _ : state) {
-        ml::matmul_nn(a.data(), b.data(), out.data(), n, n, n, false);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 * n *
-                            n * n);
+/// Seeded normal values. Inputs are never all zero: the matmul kernels skip
+/// zero A elements, so a zero input would time a no-op.
+std::vector<float> random_values(std::size_t count, std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<float> values(count);
+    for (float& v : values) v = static_cast<float>(rng.normal());
+    return values;
 }
-BENCHMARK(BM_MatmulNN)->Arg(64)->Arg(128)->Arg(256);
+
+/// A batch of the synthetic-CIFAR shape {n, 3, 12, 12}.
+ml::Tensor random_batch(std::size_t n, std::uint64_t seed) {
+    return ml::Tensor({n, 3, 12, 12}, random_values(n * 3 * 12 * 12, seed));
+}
+
+/// Times `matmul` on random operands at the shape {m, k, n} in the
+/// benchmark's arguments (A holds m * k values in either layout).
+void run_matmul(benchmark::State& state,
+                void (*matmul)(const float*, const float*, float*,
+                               std::size_t, std::size_t, std::size_t, bool)) {
+    const auto m = static_cast<std::size_t>(state.range(0));
+    const auto k = static_cast<std::size_t>(state.range(1));
+    const auto n = static_cast<std::size_t>(state.range(2));
+    const std::vector<float> a = random_values(m * k, 1);
+    const std::vector<float> b = random_values(k * n, 2);
+    std::vector<float> out(m * n);
+    for (auto _ : state) {
+        matmul(a.data(), b.data(), out.data(), m, k, n, false);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * 2 * m *
+                                                 k * n));
+}
+
+/// SimpleNN's first Dense forward: a batch of 32 (training) or 256
+/// (evaluation) times the {432, 96} weights.
+void BM_MatmulNN(benchmark::State& state) { run_matmul(state, ml::matmul_nn); }
+BENCHMARK(BM_MatmulNN)->Args({32, 432, 96})->Args({256, 432, 96});
+
+/// The same layer's weight gradient X^T * dY: out {432, 96} from the
+/// batch-32 input X (stored {32, 432}) and dY {32, 96}.
+void BM_MatmulTN(benchmark::State& state) { run_matmul(state, ml::matmul_tn); }
+BENCHMARK(BM_MatmulTN)->Args({432, 32, 96});
 
 void BM_SimpleNnForwardBatch32(benchmark::State& state) {
     ml::Sequential model = ml::make_simple_nn(ml::InputDims{}, 1);
-    ml::Tensor batch({32, 3, 12, 12});
+    const ml::Tensor batch = random_batch(32, 5);
     for (auto _ : state) {
         benchmark::DoNotOptimize(model.forward(batch, false));
     }
 }
 BENCHMARK(BM_SimpleNnForwardBatch32);
+
+/// One SGD step of local training: forward, loss, backward, update.
+void BM_SimpleNnTrainStepBatch32(benchmark::State& state) {
+    ml::Sequential model = ml::make_simple_nn(ml::InputDims{}, 1);
+    const ml::Tensor batch = random_batch(32, 6);
+    std::vector<int> labels(32);
+    Rng rng(7);
+    for (int& label : labels) label = static_cast<int>(rng.next_below(10));
+    ml::Sgd sgd;
+    const auto params = model.parameters();
+    const auto grads = model.gradients();
+    for (auto _ : state) {
+        const ml::Tensor logits = model.forward(batch, true);
+        const ml::LossResult loss = ml::softmax_cross_entropy(logits, labels);
+        model.backward(loss.grad_logits);
+        sgd.step(params, grads);
+        benchmark::DoNotOptimize(loss.loss);
+    }
+}
+BENCHMARK(BM_SimpleNnTrainStepBatch32);
 
 void BM_EffnetBackboneBatch32(benchmark::State& state) {
     ml::EffNetLite model = ml::make_effnet_lite(ml::InputDims{}, 1);

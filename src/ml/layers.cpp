@@ -2,10 +2,30 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "common/error.hpp"
 
 namespace bcfl::ml {
+
+namespace {
+
+/// The guard of every backward: the loops below index the caches of the
+/// last training-mode forward with `grad_output`, so it must have
+/// `expected`, the shape that forward returned (empty when none ran).
+void check_grad(const char* layer, const Tensor& grad_output,
+                const std::vector<std::size_t>& expected) {
+    if (expected.empty()) {
+        throw ShapeError(std::string(layer) +
+                         ": backward before a training-mode forward");
+    }
+    if (grad_output.shape() != expected) {
+        throw ShapeError(std::string(layer) +
+                         ": grad_output does not match the forward output");
+    }
+}
+
+}  // namespace
 
 void he_init(Tensor& tensor, std::size_t fan_in, Rng& rng) {
     const double scale = std::sqrt(2.0 / static_cast<double>(fan_in));
@@ -41,9 +61,12 @@ Tensor Dense::forward(const Tensor& input, bool training) {
     return out;
 }
 
-Tensor Dense::backward(const Tensor& grad_output) {
+void Dense::backward_params(const Tensor& grad_output) {
+    std::vector<std::size_t> expected;
+    if (input_cache_.rank() == 2) expected = {input_cache_.dim(0), out_};
+    check_grad("dense", grad_output, expected);
     const std::size_t n = input_cache_.dim(0);
-    // dW = X^T * dY ; db = sum rows dY ; dX = dY * W^T
+    // dW = X^T * dY ; db = sum rows dY
     matmul_tn(input_cache_.data(), grad_output.data(), weight_grad_.data(),
               in_, n, out_, false);
     bias_grad_.fill(0.0f);
@@ -51,6 +74,12 @@ Tensor Dense::backward(const Tensor& grad_output) {
         const float* row = grad_output.data() + i * out_;
         for (std::size_t j = 0; j < out_; ++j) bias_grad_[j] += row[j];
     }
+}
+
+Tensor Dense::backward(const Tensor& grad_output) {
+    backward_params(grad_output);
+    // dX = dY * W^T
+    const std::size_t n = input_cache_.dim(0);
     Tensor grad_input({n, in_});
     matmul_nt(grad_output.data(), weight_.data(), grad_input.data(), n, out_,
               in_, false);
@@ -67,6 +96,7 @@ Tensor Relu::forward(const Tensor& input, bool training) {
 }
 
 Tensor Relu::backward(const Tensor& grad_output) {
+    check_grad("relu", grad_output, input_cache_.shape());
     Tensor grad = grad_output;
     for (std::size_t i = 0; i < grad.size(); ++i) {
         if (input_cache_[i] <= 0.0f) grad[i] = 0.0f;
@@ -87,6 +117,7 @@ Tensor Swish::forward(const Tensor& input, bool training) {
 }
 
 Tensor Swish::backward(const Tensor& grad_output) {
+    check_grad("swish", grad_output, input_cache_.shape());
     Tensor grad = grad_output;
     for (std::size_t i = 0; i < grad.size(); ++i) {
         const float x = input_cache_[i];
@@ -107,6 +138,15 @@ Tensor Flatten::forward(const Tensor& input, bool training) {
 }
 
 Tensor Flatten::backward(const Tensor& grad_output) {
+    std::vector<std::size_t> expected;
+    if (!input_shape_.empty()) {
+        std::size_t features = 1;
+        for (std::size_t i = 1; i < input_shape_.size(); ++i) {
+            features *= input_shape_[i];
+        }
+        expected = {input_shape_[0], features};
+    }
+    check_grad("flatten", grad_output, expected);
     Tensor grad = grad_output;
     grad.reshape(input_shape_);
     return grad;
@@ -210,6 +250,22 @@ void col2im(const float* col, std::size_t c, std::size_t h, std::size_t w,
     }
 }
 
+/// conv_dims of a conv layer's cached input, once `grad_output` is checked
+/// against the {N, out_c, out_h, out_w} the forward produced from it.
+ConvDims checked_conv_dims(const char* layer, const Tensor& input,
+                           const Tensor& grad_output, std::size_t out_c,
+                           std::size_t kernel, std::size_t stride,
+                           std::size_t pad) {
+    ConvDims d{};
+    std::vector<std::size_t> expected;
+    if (input.rank() == 4) {
+        d = conv_dims(input, kernel, stride, pad);
+        expected = {d.n, out_c, d.out_h, d.out_w};
+    }
+    check_grad(layer, grad_output, expected);
+    return d;
+}
+
 }  // namespace
 
 Tensor Conv2d::forward(const Tensor& input, bool training) {
@@ -234,18 +290,16 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
     return out;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output) {
+void Conv2d::backward_params(const Tensor& grad_output) {
     const Tensor& input = input_cache_;
-    const ConvDims d = conv_dims(input, kernel_, stride_, pad_);
+    const ConvDims d = checked_conv_dims("conv2d", input, grad_output, out_c_,
+                                         kernel_, stride_, pad_);
     const std::size_t patch = in_c_ * kernel_ * kernel_;
     const std::size_t cols = d.out_h * d.out_w;
 
     weight_grad_.fill(0.0f);
     bias_grad_.fill(0.0f);
-    Tensor grad_input(input.shape());
     std::vector<float> col(patch * cols);
-    std::vector<float> dcol(patch * cols);
-
     for (std::size_t s = 0; s < d.n; ++s) {
         im2col(input.data() + s * d.c * d.h * d.w, d.c, d.h, d.w, kernel_,
                stride_, pad_, d.out_h, d.out_w, col.data());
@@ -258,6 +312,18 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
             const float* plane = grad_sample + oc * cols;
             for (std::size_t i = 0; i < cols; ++i) bias_grad_[oc] += plane[i];
         }
+    }
+}
+
+Tensor Conv2d::backward(const Tensor& grad_output) {
+    backward_params(grad_output);
+    const ConvDims d = conv_dims(input_cache_, kernel_, stride_, pad_);
+    const std::size_t patch = in_c_ * kernel_ * kernel_;
+    const std::size_t cols = d.out_h * d.out_w;
+    Tensor grad_input(input_cache_.shape());
+    std::vector<float> dcol(patch * cols);
+    for (std::size_t s = 0; s < d.n; ++s) {
+        const float* grad_sample = grad_output.data() + s * out_c_ * cols;
         // dcol = W^T * dY
         matmul_tn(weight_.data(), grad_sample, dcol.data(), patch, out_c_,
                   cols, false);
@@ -327,7 +393,8 @@ Tensor DepthwiseConv2d::forward(const Tensor& input, bool training) {
 
 Tensor DepthwiseConv2d::backward(const Tensor& grad_output) {
     const Tensor& input = input_cache_;
-    const ConvDims d = conv_dims(input, kernel_, stride_, pad_);
+    const ConvDims d = checked_conv_dims("dwconv2d", input, grad_output,
+                                         channels_, kernel_, stride_, pad_);
     weight_grad_.fill(0.0f);
     bias_grad_.fill(0.0f);
     Tensor grad_input(input.shape());
@@ -395,6 +462,9 @@ Tensor GlobalAvgPool::forward(const Tensor& input, bool training) {
 }
 
 Tensor GlobalAvgPool::backward(const Tensor& grad_output) {
+    std::vector<std::size_t> expected;
+    if (input_shape_.size() == 4) expected = {input_shape_[0], input_shape_[1]};
+    check_grad("gap", grad_output, expected);
     Tensor grad(input_shape_);
     const std::size_t n = input_shape_[0];
     const std::size_t c = input_shape_[1];
@@ -421,10 +491,24 @@ Tensor Sequential::forward(const Tensor& input, bool training) {
 }
 
 void Sequential::backward(const Tensor& grad_output) {
+    std::size_t first = 0;
+    while (first < layers_.size() && layers_[first]->parameters().empty()) {
+        ++first;
+    }
+    if (first == layers_.size()) return;
+    Tensor grad = grad_output;
+    for (std::size_t i = layers_.size() - 1; i > first; --i) {
+        grad = layers_[i]->backward(grad);
+    }
+    layers_[first]->backward_params(grad);
+}
+
+Tensor Sequential::backward_to_input(const Tensor& grad_output) {
     Tensor grad = grad_output;
     for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
         grad = (*it)->backward(grad);
     }
+    return grad;
 }
 
 std::vector<Tensor*> Sequential::parameters() {

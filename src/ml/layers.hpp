@@ -20,7 +20,16 @@ public:
     virtual ~Layer() = default;
 
     virtual Tensor forward(const Tensor& input, bool training) = 0;
+    /// Fills gradients() and returns the gradient w.r.t. the input of the
+    /// last training-mode forward. Throws ShapeError unless `grad_output`
+    /// has the shape of that forward's output.
     virtual Tensor backward(const Tensor& grad_output) = 0;
+    /// backward() without the input gradient: the same checks and the same
+    /// gradients(), bit for bit. A model's first trainable layer runs this,
+    /// since nothing reads its input gradient.
+    virtual void backward_params(const Tensor& grad_output) {
+        (void)backward(grad_output);
+    }
 
     /// Trainable parameter tensors (empty for stateless layers).
     virtual std::vector<Tensor*> parameters() { return {}; }
@@ -37,6 +46,7 @@ public:
 
     Tensor forward(const Tensor& input, bool training) override;
     Tensor backward(const Tensor& grad_output) override;
+    void backward_params(const Tensor& grad_output) override;
     std::vector<Tensor*> parameters() override { return {&weight_, &bias_}; }
     std::vector<Tensor*> gradients() override {
         return {&weight_grad_, &bias_grad_};
@@ -91,6 +101,7 @@ public:
 
     Tensor forward(const Tensor& input, bool training) override;
     Tensor backward(const Tensor& grad_output) override;
+    void backward_params(const Tensor& grad_output) override;
     std::vector<Tensor*> parameters() override { return {&weight_, &bias_}; }
     std::vector<Tensor*> gradients() override {
         return {&weight_grad_, &bias_grad_};
@@ -147,7 +158,14 @@ public:
     }
 
     Tensor forward(const Tensor& input, bool training = false);
+    /// Fills gradients() for a training step. The walk stops at the first
+    /// layer with parameters and runs its backward_params(): the layers
+    /// below it have no gradients to fill and nothing reads its input
+    /// gradient.
     void backward(const Tensor& grad_output);
+    /// The whole walk: fills gradients() and returns the gradient w.r.t.
+    /// the model input, for a model whose input comes from another one.
+    Tensor backward_to_input(const Tensor& grad_output);
 
     [[nodiscard]] std::vector<Tensor*> parameters();
     [[nodiscard]] std::vector<Tensor*> gradients();
@@ -158,9 +176,6 @@ public:
     /// Flat weight vector (concatenation of all parameter tensors).
     [[nodiscard]] std::vector<float> flat_weights();
     void set_flat_weights(std::span<const float> weights);
-
-    [[nodiscard]] std::size_t layer_count() const { return layers_.size(); }
-    [[nodiscard]] Layer& layer(std::size_t i) { return *layers_[i]; }
 
 private:
     std::vector<std::unique_ptr<Layer>> layers_;

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "ml/matmul_kernel.hpp"
 
 namespace bcfl::ml {
 
@@ -35,48 +36,54 @@ void Tensor::fill(float value) {
 }
 
 namespace {
-constexpr std::size_t kBlock = 64;
+
+void gemm_baseline(const float* a, std::size_t a_row, std::size_t a_col,
+                   const float* b, float* out, std::size_t m, std::size_t k,
+                   std::size_t n, bool accumulate) {
+    kernel::matmul_rows<kernel::Vec4>(a, a_row, a_col, b, out, m, k, n,
+                                      accumulate);
 }
+
+#if defined(__x86_64__)
+// The same kernel with 8-float registers. AVX2 does not imply FMA, so no
+// multiply-add is fused and every bit matches gemm_baseline.
+[[gnu::target("avx2")]] void gemm_avx2(const float* a, std::size_t a_row,
+                                       std::size_t a_col, const float* b,
+                                       float* out, std::size_t m,
+                                       std::size_t k, std::size_t n,
+                                       bool accumulate) {
+    kernel::matmul_rows<kernel::Vec8>(a, a_row, a_col, b, out, m, k, n,
+                                      accumulate);
+}
+#endif
+
+using GemmKernel = decltype(&gemm_baseline);
+
+GemmKernel select_gemm() {
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2")) return gemm_avx2;
+#endif
+    return gemm_baseline;
+}
+
+void gemm(const float* a, std::size_t a_row, std::size_t a_col,
+          const float* b, float* out, std::size_t m, std::size_t k,
+          std::size_t n, bool accumulate) {
+    static const GemmKernel impl = select_gemm();
+    impl(a, a_row, a_col, b, out, m, k, n, accumulate);
+}
+
+}  // namespace
 
 void matmul_nn(const float* a, const float* b, float* out, std::size_t m,
                std::size_t k, std::size_t n, bool accumulate) {
-    if (!accumulate) std::memset(out, 0, m * n * sizeof(float));
-    for (std::size_t i0 = 0; i0 < m; i0 += kBlock) {
-        const std::size_t i1 = std::min(i0 + kBlock, m);
-        for (std::size_t p0 = 0; p0 < k; p0 += kBlock) {
-            const std::size_t p1 = std::min(p0 + kBlock, k);
-            for (std::size_t i = i0; i < i1; ++i) {
-                const float* a_row = a + i * k;
-                float* out_row = out + i * n;
-                for (std::size_t p = p0; p < p1; ++p) {
-                    const float a_val = a_row[p];
-                    if (a_val == 0.0f) continue;
-                    const float* b_row = b + p * n;
-                    for (std::size_t j = 0; j < n; ++j) {
-                        out_row[j] += a_val * b_row[j];
-                    }
-                }
-            }
-        }
-    }
+    gemm(a, k, 1, b, out, m, k, n, accumulate);
 }
 
 void matmul_tn(const float* a, const float* b, float* out, std::size_t m,
                std::size_t k, std::size_t n, bool accumulate) {
-    if (!accumulate) std::memset(out, 0, m * n * sizeof(float));
-    // a is stored [k, m]; walk k rows, scatter into out rows.
-    for (std::size_t p = 0; p < k; ++p) {
-        const float* a_row = a + p * m;
-        const float* b_row = b + p * n;
-        for (std::size_t i = 0; i < m; ++i) {
-            const float a_val = a_row[i];
-            if (a_val == 0.0f) continue;
-            float* out_row = out + i * n;
-            for (std::size_t j = 0; j < n; ++j) {
-                out_row[j] += a_val * b_row[j];
-            }
-        }
-    }
+    gemm(a, 1, m, b, out, m, k, n, accumulate);
 }
 
 void matmul_nt(const float* a, const float* b, float* out, std::size_t m,

@@ -1,6 +1,13 @@
 // Minimal dense float32 tensor with the matmul kernels the training stack
-// needs (plain NN, transposed-A and transposed-B variants, loop-blocked for
-// cache friendliness).
+// needs (plain NN, transposed-A and transposed-B variants).
+//
+// Every kernel is bit-exact and reproducible on any x86-64 host: each
+// output element is a serial float sum in ascending reduction order, each
+// product and sum rounded on its own (no FMA). matmul_nn and matmul_tn
+// share one register-blocked kernel (ml/matmul_kernel.hpp), run with AVX2
+// where cpuid reports it; they skip the terms whose A element is zero and
+// start from +0.0f (or from out). matmul_nt sums each element from +0.0f
+// without skipping, then adds that sum to out.
 #pragma once
 
 #include <cstddef>
@@ -48,7 +55,7 @@ private:
     std::vector<float> values_;
 };
 
-/// out[m,n] (+)= a[m,k] * b[k,n]
+/// out[m,n] (+)= a[m,k] * b[k,n]. The caller guarantees the extents.
 void matmul_nn(const float* a, const float* b, float* out, std::size_t m,
                std::size_t k, std::size_t n, bool accumulate);
 /// out[m,n] (+)= a[k,m]^T * b[k,n]

@@ -1,13 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <numeric>
+#include <string>
 
 #include "common/error.hpp"
+#include "fl/task.hpp"
 #include "ml/data.hpp"
 #include "ml/layers.hpp"
 #include "ml/loss.hpp"
+#include "ml/matmul_kernel.hpp"
 #include "ml/models.hpp"
 #include "ml/optimizer.hpp"
 #include "ml/serialize.hpp"
@@ -36,36 +43,156 @@ TEST(Tensor, MatmulNN) {
     EXPECT_EQ(out, (std::vector<float>{19, 22, 43, 50}));
 }
 
-TEST(Tensor, MatmulVariantsAgree) {
-    // Check A*B == (A^T stored transposed)*B == A*(B^T stored transposed).
-    Rng rng(5);
-    const std::size_t m = 7, k = 9, n = 11;
-    std::vector<float> a(m * k), b(k * n);
-    for (auto& v : a) v = static_cast<float>(rng.normal());
-    for (auto& v : b) v = static_cast<float>(rng.normal());
-
-    std::vector<float> reference(m * n);
-    matmul_nn(a.data(), b.data(), reference.data(), m, k, n, false);
-
-    // a_t[k][m]: transpose of a.
-    std::vector<float> a_t(k * m);
+// Reference triple loops: the summation each kernel promises, element by
+// element. matmul_nn and matmul_tn start from +0.0f (or out), skip every
+// zero of A and add the products in ascending p; matmul_nt sums all k
+// products from +0.0f, then adds that sum to +0.0f (or out).
+void reference_skip(const std::vector<float>& a, const std::vector<float>& b,
+                    std::vector<float>& out, std::size_t m, std::size_t k,
+                    std::size_t n, bool accumulate) {
     for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t p = 0; p < k; ++p) a_t[p * m + i] = a[i * k + p];
+        for (std::size_t j = 0; j < n; ++j) {
+            float acc = accumulate ? out[i * n + j] : 0.0f;
+            for (std::size_t p = 0; p < k; ++p) {
+                const float a_val = a[i * k + p];
+                if (a_val == 0.0f) continue;
+                acc += a_val * b[p * n + j];
+            }
+            out[i * n + j] = acc;
+        }
     }
-    std::vector<float> out_tn(m * n);
-    matmul_tn(a_t.data(), b.data(), out_tn.data(), m, k, n, false);
-    for (std::size_t i = 0; i < m * n; ++i) {
-        EXPECT_NEAR(out_tn[i], reference[i], 1e-4);
-    }
+}
 
-    std::vector<float> b_t(n * k);
-    for (std::size_t p = 0; p < k; ++p) {
-        for (std::size_t j = 0; j < n; ++j) b_t[j * k + p] = b[p * n + j];
+void reference_nt(const std::vector<float>& a, const std::vector<float>& b_t,
+                  std::vector<float>& out, std::size_t m, std::size_t k,
+                  std::size_t n, bool accumulate) {
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            float sum = 0.0f;
+            for (std::size_t p = 0; p < k; ++p) {
+                sum += a[i * k + p] * b_t[j * k + p];
+            }
+            const float start = accumulate ? out[i * n + j] : 0.0f;
+            out[i * n + j] = start + sum;
+        }
     }
-    std::vector<float> out_nt(m * n);
-    matmul_nt(a.data(), b_t.data(), out_nt.data(), m, k, n, false);
-    for (std::size_t i = 0; i < m * n; ++i) {
-        EXPECT_NEAR(out_nt[i], reference[i], 1e-4);
+}
+
+std::vector<float> transposed(const std::vector<float>& x, std::size_t rows,
+                              std::size_t cols) {
+    std::vector<float> t(x.size());
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) t[c * rows + r] = x[r * cols + c];
+    }
+    return t;
+}
+
+/// Equal bit for bit: +0.0f and -0.0f differ, NaNs compare by payload.
+bool same_bits(const std::vector<float>& x, const std::vector<float>& y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                      [](float p, float q) {
+                          return std::bit_cast<std::uint32_t>(p) ==
+                                 std::bit_cast<std::uint32_t>(q);
+                      });
+}
+
+/// Runs every kernel, both matmul_nn/matmul_tn variants (the one cpuid
+/// selected and the baseline-ISA instantiation), on one A, B and starting
+/// out, and compares each to its reference bit for bit.
+void expect_kernels_match_references(const std::vector<float>& a,
+                                     const std::vector<float>& b,
+                                     const std::vector<float>& start,
+                                     std::size_t m, std::size_t k,
+                                     std::size_t n, bool accumulate) {
+    const std::vector<float> a_t = transposed(a, m, k);
+    const std::vector<float> b_t = transposed(b, k, n);
+    std::vector<float> want = start;
+    reference_skip(a, b, want, m, k, n, accumulate);
+    std::vector<float> want_nt = start;
+    reference_nt(a, b_t, want_nt, m, k, n, accumulate);
+    const std::string where = "m=" + std::to_string(m) +
+                              " k=" + std::to_string(k) +
+                              " n=" + std::to_string(n) +
+                              " accumulate=" + std::to_string(accumulate);
+
+    std::vector<float> out = start;
+    matmul_nn(a.data(), b.data(), out.data(), m, k, n, accumulate);
+    EXPECT_TRUE(same_bits(out, want)) << "matmul_nn " << where;
+    out = start;
+    matmul_tn(a_t.data(), b.data(), out.data(), m, k, n, accumulate);
+    EXPECT_TRUE(same_bits(out, want)) << "matmul_tn " << where;
+    out = start;
+    kernel::matmul_rows<kernel::Vec4>(a.data(), k, 1, b.data(), out.data(),
+                                      m, k, n, accumulate);
+    EXPECT_TRUE(same_bits(out, want)) << "baseline nn " << where;
+    out = start;
+    kernel::matmul_rows<kernel::Vec4>(a_t.data(), 1, m, b.data(), out.data(),
+                                      m, k, n, accumulate);
+    EXPECT_TRUE(same_bits(out, want)) << "baseline tn " << where;
+    out = start;
+    matmul_nt(a.data(), b_t.data(), out.data(), m, k, n, accumulate);
+    EXPECT_TRUE(same_bits(out, want_nt)) << "matmul_nt " << where;
+}
+
+TEST(Tensor, MatmulKernelsMatchReferenceBitForBit) {
+    // Odd extents exercise the vector tails; 96 is one full register block
+    // and 432 spans several. A quarter of A is zero (some of it -0.0f) so
+    // the skip matters, and the starting out holds -0.0f entries too.
+    const std::size_t extents[] = {1, 3, 17, 96, 432};
+    Rng rng(5);
+    for (std::size_t m : extents) {
+        for (std::size_t k : extents) {
+            for (std::size_t n : extents) {
+                std::vector<float> a(m * k), b(k * n), start(m * n);
+                for (auto& v : a) {
+                    const double u = rng.next_double();
+                    v = u < 0.2 ? 0.0f
+                        : u < 0.25 ? -0.0f
+                                   : static_cast<float>(rng.normal());
+                }
+                for (auto& v : b) v = static_cast<float>(rng.normal());
+                for (auto& v : start) {
+                    v = rng.next_double() < 0.1
+                            ? -0.0f
+                            : static_cast<float>(rng.normal());
+                }
+                for (bool accumulate : {false, true}) {
+                    expect_kernels_match_references(a, b, start, m, k, n,
+                                                    accumulate);
+                }
+            }
+        }
+    }
+}
+
+TEST(Tensor, MatmulZeroSkipAgainstInfAndNan) {
+    // Column 2 of A is all zeros and row 2 of B holds +inf, -inf and NaN:
+    // matmul_nn/tn skip those terms and stay finite, matmul_nt multiplies
+    // them (0 * inf = NaN) and every output is NaN. Each output meets one
+    // special term, so its NaN bits do not depend on operand order.
+    const std::size_t m = 5, k = 7, n = 19;
+    const std::size_t zero_col = 2;
+    Rng rng(17);
+    std::vector<float> a(m * k), b(k * n), start(m * n);
+    for (std::size_t i = 0; i < m * k; ++i) {
+        a[i] = i % k == zero_col ? 0.0f : static_cast<float>(rng.normal());
+    }
+    for (auto& v : b) v = static_cast<float>(rng.normal());
+    const float specials[] = {std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              std::numeric_limits<float>::quiet_NaN()};
+    for (std::size_t j = 0; j < n; ++j) b[zero_col * n + j] = specials[j % 3];
+    for (auto& v : start) v = static_cast<float>(rng.normal());
+
+    for (bool accumulate : {false, true}) {
+        expect_kernels_match_references(a, b, start, m, k, n, accumulate);
+        std::vector<float> out = start;
+        matmul_nn(a.data(), b.data(), out.data(), m, k, n, accumulate);
+        for (float v : out) EXPECT_TRUE(std::isfinite(v));
+        const std::vector<float> b_t = transposed(b, k, n);
+        out = start;
+        matmul_nt(a.data(), b_t.data(), out.data(), m, k, n, accumulate);
+        for (float v : out) EXPECT_TRUE(std::isnan(v));
     }
 }
 
@@ -191,6 +318,83 @@ TEST(Gradients, DepthwiseConvStride2) {
 TEST(Gradients, GlobalAvgPool) {
     GlobalAvgPool layer;
     check_layer_gradients(layer, random_tensor({2, 3, 4, 4}, 15), 2e-2);
+}
+
+// ------------------------------------------------------- Backward guards
+//
+// Each backward indexes the caches of the last training-mode forward with
+// grad_output, so a grad_output of another shape, or a backward with no
+// training forward before it, must throw ShapeError instead of reading
+// past a cache.
+
+TEST(BackwardGuard, Dense) {
+    Rng rng(1);
+    Dense layer(6, 4, rng);
+    EXPECT_THROW((void)layer.backward(Tensor({3, 4})), ShapeError);
+    EXPECT_THROW(layer.backward_params(Tensor({3, 4})), ShapeError);
+    (void)layer.forward(random_tensor({3, 6}, 2), false);  // caches nothing
+    EXPECT_THROW((void)layer.backward(Tensor({3, 4})), ShapeError);
+    (void)layer.forward(random_tensor({3, 6}, 2), true);
+    EXPECT_THROW((void)layer.backward(Tensor({2, 4})), ShapeError);
+    EXPECT_THROW(layer.backward_params(Tensor({3, 5})), ShapeError);
+    EXPECT_EQ(layer.backward(Tensor({3, 4})).shape(),
+              (std::vector<std::size_t>{3, 6}));
+}
+
+TEST(BackwardGuard, Relu) {
+    Relu layer;
+    EXPECT_THROW((void)layer.backward(Tensor({1, 4})), ShapeError);
+    (void)layer.forward(random_tensor({1, 4}, 3), true);
+    EXPECT_THROW((void)layer.backward(Tensor({2, 4})), ShapeError);
+    EXPECT_NO_THROW((void)layer.backward(Tensor({1, 4})));
+}
+
+TEST(BackwardGuard, Swish) {
+    Swish layer;
+    EXPECT_THROW((void)layer.backward(Tensor({1, 4})), ShapeError);
+    (void)layer.forward(random_tensor({1, 4}, 4), true);
+    EXPECT_THROW((void)layer.backward(Tensor({2, 4})), ShapeError);
+    EXPECT_NO_THROW((void)layer.backward(Tensor({1, 4})));
+}
+
+TEST(BackwardGuard, Flatten) {
+    Flatten layer;
+    EXPECT_THROW((void)layer.backward(Tensor({2, 12})), ShapeError);
+    (void)layer.forward(random_tensor({2, 3, 2, 2}, 5), true);
+    EXPECT_THROW((void)layer.backward(Tensor({4, 6})), ShapeError);
+    EXPECT_EQ(layer.backward(Tensor({2, 12})).shape(),
+              (std::vector<std::size_t>{2, 3, 2, 2}));
+}
+
+TEST(BackwardGuard, Conv2d) {
+    Rng rng(5);
+    Conv2d layer(2, 3, 3, 1, 1, rng);
+    EXPECT_THROW((void)layer.backward(Tensor({2, 3, 5, 5})), ShapeError);
+    EXPECT_THROW(layer.backward_params(Tensor({2, 3, 5, 5})), ShapeError);
+    (void)layer.forward(random_tensor({2, 2, 5, 5}, 6), true);
+    EXPECT_THROW((void)layer.backward(Tensor({3, 3, 5, 5})), ShapeError);
+    EXPECT_THROW(layer.backward_params(Tensor({2, 3, 4, 4})), ShapeError);
+    EXPECT_EQ(layer.backward(Tensor({2, 3, 5, 5})).shape(),
+              (std::vector<std::size_t>{2, 2, 5, 5}));
+}
+
+TEST(BackwardGuard, DepthwiseConv2d) {
+    Rng rng(11);
+    DepthwiseConv2d layer(3, 3, 2, 1, rng);
+    EXPECT_THROW((void)layer.backward(Tensor({2, 3, 3, 3})), ShapeError);
+    (void)layer.forward(random_tensor({2, 3, 6, 6}, 12), true);
+    EXPECT_THROW((void)layer.backward(Tensor({2, 3, 6, 6})), ShapeError);
+    EXPECT_EQ(layer.backward(Tensor({2, 3, 3, 3})).shape(),
+              (std::vector<std::size_t>{2, 3, 6, 6}));
+}
+
+TEST(BackwardGuard, GlobalAvgPool) {
+    GlobalAvgPool layer;
+    EXPECT_THROW((void)layer.backward(Tensor({2, 3})), ShapeError);
+    (void)layer.forward(random_tensor({2, 3, 4, 4}, 15), true);
+    EXPECT_THROW((void)layer.backward(Tensor({3, 3})), ShapeError);
+    EXPECT_EQ(layer.backward(Tensor({2, 3})).shape(),
+              (std::vector<std::size_t>{2, 3, 4, 4}));
 }
 
 TEST(Gradients, SoftmaxCrossEntropy) {
@@ -494,6 +698,88 @@ TEST(Training, LossDecreases) {
     TrainReport last = first;
     for (int i = 0; i < 5; ++i) last = train(model, fed.client_train[0], tc, sgd);
     EXPECT_LT(last.final_loss, first.final_loss);
+}
+
+// ------------------------------------------------ Parameters-only backward
+
+/// Sequential::backward stops at the first trainable layer and runs its
+/// backward_params(); the gradients must equal those of the whole walk
+/// (backward_to_input) bit for bit.
+void expect_params_only_backward_matches(Sequential& params_only,
+                                         Sequential& full,
+                                         const Tensor& input) {
+    ASSERT_EQ(params_only.flat_weights(), full.flat_weights());
+    const Tensor out = params_only.forward(input, true);
+    (void)full.forward(input, true);
+    const Tensor grad = random_tensor(out.shape(), 77);
+    params_only.backward(grad);
+    const Tensor grad_input = full.backward_to_input(grad);
+    EXPECT_EQ(grad_input.shape(), input.shape());
+    const auto got = params_only.gradients();
+    const auto want = full.gradients();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t t = 0; t < got.size(); ++t) {
+        EXPECT_TRUE(same_bits(got[t]->values(), want[t]->values()))
+            << "gradient tensor " << t;
+    }
+    // The first trainable layer's gradients are filled, not left at zero.
+    const std::vector<float>& first = got.front()->values();
+    EXPECT_TRUE(std::any_of(first.begin(), first.end(),
+                            [](float v) { return v != 0.0f; }));
+}
+
+TEST(Backward, ParamsOnlyMatchesFullWalkDenseFirst) {
+    // Flatten -> Dense -> ReLU -> Dense: the first trainable layer is Dense.
+    Sequential params_only = make_simple_nn(InputDims{}, 7);
+    Sequential full = make_simple_nn(InputDims{}, 7);
+    expect_params_only_backward_matches(params_only, full,
+                                        random_tensor({5, 3, 12, 12}, 8));
+}
+
+TEST(Backward, ParamsOnlyMatchesFullWalkConv2dFirst) {
+    // The EffNet-lite backbone opens with its stem Conv2d.
+    EffNetLite params_only = make_effnet_lite(InputDims{}, 9);
+    EffNetLite full = make_effnet_lite(InputDims{}, 9);
+    expect_params_only_backward_matches(params_only.backbone, full.backbone,
+                                        random_tensor({3, 3, 12, 12}, 10));
+}
+
+// ------------------------------------------------------ Training digests
+//
+// weights_digest pins of whole training runs. The pinned bits are those of
+// plain serial loops in the order the kernels promise, with every input
+// gradient computed; any change to a kernel's summation order, its zero
+// skip or its rounding moves them.
+
+TEST(TrainingDigest, SimpleNnTwoEpochs) {
+    SyntheticCifarConfig config;
+    config.train_per_client = 150;  // 4 full batches and one of 22
+    config.test_per_client = 10;
+    config.global_test = 10;
+    const FederatedData fed = make_synthetic_cifar(config);
+    Sequential model = make_simple_nn(InputDims{}, 31);
+    TrainConfig train_config;
+    train_config.epochs = 2;
+    train_config.sgd = SgdConfig{0.05f, 0.9f, 1e-4f};
+    Sgd sgd(train_config.sgd);
+    train(model, fed.client_train[0], train_config, sgd);
+    EXPECT_EQ(weights_digest(model.flat_weights()).hex(),
+              "8b029d0b6860895ce880ec5bb28b9d3e14cedad37fffead9afc577673e139bba");
+}
+
+TEST(TrainingDigest, EffnetPretrainedBackbone) {
+    SyntheticCifarConfig config;
+    config.train_per_client = 8;
+    config.test_per_client = 4;
+    config.global_test = 4;
+    const FederatedData fed = make_synthetic_cifar(config);
+    fl::EffnetTaskOptions options;
+    options.pretrain_samples = 80;  // 2 full batches and one of 16
+    options.pretrain_epochs = 2;
+    const fl::FlTask task = fl::make_effnet_task(fed, 5, options);
+    // The published vector: the pretrained backbone, then the fresh head.
+    EXPECT_EQ(weights_digest(task.make_model()->weights()).hex(),
+              "618e87f878b8ba25e97b802e1b3da384b8d3c4a32b3ef07fb117137bace543c1");
 }
 
 }  // namespace
