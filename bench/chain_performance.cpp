@@ -88,7 +88,6 @@ ThroughputPoint measure_throughput(std::size_t participants,
     link.bytes_per_us = 2.5;   // 20 Mbit/s shared uplink
     link.latency = net::ms(20);
     net::SimTransport transport(link, 17);
-    auto& sim = transport.sim();
     chain::ChainConfig chain_config;
     chain_config.initial_difficulty = 1200;
     chain_config.min_difficulty = 64;
@@ -117,14 +116,15 @@ ThroughputPoint measure_throughput(std::size_t participants,
             nodes[i]->key(), nonces[i]++, vm::registry_address(),
             21'000 + 16 * (payload.size() + 100) + 400'000, 1,
             abi::chunk_calldata(1, nonces[i], payload));
-        submit_time[tx.hash()] = sim.now();
+        submit_time[tx.hash()] = transport.now();
         nodes[i]->submit_tx(tx);
-        if (sim.now() + period < horizon) {
-            sim.schedule_after(period, [&, i] { spam(i); });
+        if (transport.now() + period < horizon) {
+            transport.schedule_after(static_cast<net::NodeId>(i), period,
+                                     [&, i] { spam(i); });
         }
     };
     for (std::size_t i = 0; i < participants; ++i) spam(i);
-    sim.run_until(horizon);
+    transport.run_until(horizon);
 
     // Measure from node 0's canonical chain.
     const auto& chain = nodes[0]->chain();
@@ -371,23 +371,21 @@ FloodResult measure_flood(
     link.bytes_per_us = 2.5;  // 20 Mbit/s shared uplink, as in E3a
     link.jitter_fraction = 0.0;
     net::SimTransport transport(link, 23);
-    auto& sim = transport.sim();
-    auto& network = transport.network();
 
     const std::size_t count = adjacency.size();
     std::vector<bool> seen(count, false);
     net::SimTime last_receipt = 0;
     std::size_t covered = 0;
     for (std::size_t i = 0; i < count; ++i) {
-        network.add_node([&, i](net::NodeId from, const Bytes& payload) {
+        transport.add_node([&, i](net::NodeId from, const Bytes& payload) {
             if (seen[i]) return;
             seen[i] = true;
             ++covered;
-            last_receipt = sim.now();
+            last_receipt = transport.now();
             for (std::size_t neighbor : adjacency[i]) {
                 if (neighbor == static_cast<std::size_t>(from)) continue;
-                network.send(static_cast<net::NodeId>(i),
-                             static_cast<net::NodeId>(neighbor), payload);
+                transport.send(static_cast<net::NodeId>(i),
+                               static_cast<net::NodeId>(neighbor), payload);
             }
         });
     }
@@ -395,15 +393,16 @@ FloodResult measure_flood(
     ++covered;
     const Bytes payload(payload_bytes, 0x5a);
     for (std::size_t neighbor : adjacency[origin]) {
-        network.send(static_cast<net::NodeId>(origin),
-                     static_cast<net::NodeId>(neighbor), payload);
+        transport.send(static_cast<net::NodeId>(origin),
+                       static_cast<net::NodeId>(neighbor), payload);
     }
-    sim.run();
+    // No miners: the queue drains.
+    transport.run([] { return false; }, net::kMaxDuration);
 
     FloodResult result;
     result.covered = covered;
-    result.messages_sent = network.stats().messages_sent;
-    result.bytes_sent = network.stats().bytes_sent;
+    result.messages_sent = transport.stats().messages_sent;
+    result.bytes_sent = transport.stats().bytes_sent;
     result.coverage_ms = static_cast<double>(last_receipt) / 1000.0;
     return result;
 }
@@ -580,7 +579,7 @@ void BM_ChainPerformance(benchmark::State& state) {
                 config.hash_rate = 400.0;
                 node::Node node(transport, config);
                 node.start();
-                transport.sim().run_until(net::seconds(2000));
+                transport.run_until(net::seconds(2000));
                 const double interval =
                     node.chain().height() > 0
                         ? 2000.0 / static_cast<double>(node.chain().height())
@@ -610,16 +609,16 @@ void BM_ChainPerformance(benchmark::State& state) {
                 net::LinkParams link;
                 link.jitter_fraction = 0.0;
                 net::SimTransport transport(link, 5);
-                auto& sim = transport.sim();
-                auto& network = transport.network();
                 net::SimTime delivered = 0;
                 const auto a =
-                    network.add_node([](net::NodeId, const Bytes&) {});
-                const auto b = network.add_node(
-                    [&](net::NodeId, const Bytes&) { delivered = sim.now(); });
-                (void)a;
-                network.send(0, b, Bytes(kb * 1024, 0x11));
-                sim.run();
+                    transport.add_node([](net::NodeId, const Bytes&) {});
+                const auto b =
+                    transport.add_node([&](net::NodeId, const Bytes&) {
+                        delivered = transport.now();
+                    });
+                transport.send(a, b, Bytes(kb * 1024, 0x11));
+                // No miners: the queue drains.
+                transport.run([] { return false; }, net::kMaxDuration);
                 const double delay_ms =
                     static_cast<double>(delivered) / 1000.0;
                 std::printf("%16zu %24.2f\n", kb, delay_ms);

@@ -34,7 +34,7 @@ void BM_MinerUnderLoad(benchmark::State& state) {
             node::Node node(transport, config);
             node.set_compute_load(load);
             node.start();
-            transport.sim().run_until(net::seconds(3000));
+            transport.run_until(net::seconds(3000));
             const double interval =
                 node.chain().height() > 0
                     ? 3000.0 / static_cast<double>(node.chain().height())

@@ -39,7 +39,7 @@ int main() {
     node.submit_tx(chain::Transaction::make_signed(
         node.key(), nonce++, vm::registry_address(), 5'000'000, 1,
         abi::chunk_calldata(3, 0, payload)));
-    transport.sim().run_until(net::seconds(60));
+    transport.run_until(net::seconds(60));
 
     std::printf("chain height: %llu\n",
                 static_cast<unsigned long long>(node.chain().height()));

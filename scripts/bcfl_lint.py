@@ -51,15 +51,16 @@ directly above it):
                       hand-rolled `<<`-style writer would fork the
                       escaping/format rules the baselines depend on.
 
-  sim-coupling        Forbids naming the concrete backend types
+  sim-coupling        Forbids naming the concrete sim types
                       (`net::Simulation`, `net::Network`, `Simulation&`,
-                      `Network&`) outside src/net/. Everything above the
-                      transport seam speaks net::Transport only — that is
-                      what lets the same Node run over the deterministic
-                      sim and the TCP backend. Benches/tests that must
-                      drive the simulated clock use the SimTransport
-                      escape hatches (`transport.sim()`), which bind by
-                      auto and never name the concrete types.
+                      `Network&`) outside src/net/. SimTransport absorbed
+                      both classes; the rule keeps them from growing back
+                      above the seam. Everything above the transport seam
+                      speaks net::Transport only — that is what lets the
+                      same Node run over the deterministic sim and the TCP
+                      backend. Benches/tests that must drive the simulated
+                      clock call SimTransport::run_until, the one method
+                      the sim backend adds to the interface.
 
   layering            Enforces the architecture include DAG
                       (common → crypto → {chain, ml, fl, vm} → net →
@@ -116,8 +117,6 @@ WHITELIST = {
     # still fires.
     "src/net/tcp_transport.hpp": {"nondeterminism"},
     "src/net/tcp_transport.cpp": {"nondeterminism"},
-    # Tests the sim/network layer itself, so it names the concrete types.
-    "tests/net_test.cpp": {"sim-coupling"},
 }
 
 ALLOW_RE = re.compile(r"//\s*bcfl-lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
@@ -412,8 +411,8 @@ def rule_sim_coupling(path: str, lines: list[str]) -> list[Finding]:
                         "sim-coupling",
                         f"{label} named outside src/net/; code above the "
                         "transport seam speaks net::Transport only (clock "
-                        "access for benches/tests: SimTransport's "
-                        "transport.sim() escape hatch)",
+                        "access for benches/tests: "
+                        "SimTransport::run_until)",
                     )
                 )
     return findings

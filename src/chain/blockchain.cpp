@@ -80,15 +80,13 @@ std::optional<TxLocation> Blockchain::locate_tx(const Hash32& tx_hash) const {
     return it->second;
 }
 
-std::uint64_t Blockchain::child_difficulty(const BlockHeader& parent,
-                                           std::uint64_t timestamp_ms) const {
+std::uint64_t Blockchain::child_difficulty(const BlockHeader& parent) const {
     if (config_.fixed_difficulty) return config_.initial_difficulty;
     if (parent.number == 0) return config_.initial_difficulty;
     const Block* grandparent = block_by_hash(parent.parent_hash);
     if (grandparent == nullptr) return parent.difficulty;
     const std::uint64_t interval =
         parent.timestamp_ms - grandparent->header.timestamp_ms;
-    (void)timestamp_ms;
     return next_difficulty(parent.difficulty, interval,
                            config_.target_interval_ms, config_.min_difficulty);
 }
@@ -152,7 +150,7 @@ std::string Blockchain::validate(
     if (h.number != p.number + 1) return "bad block number";
     if (h.timestamp_ms < p.timestamp_ms) return "timestamp before parent";
     if (h.gas_limit != config_.block_gas_limit) return "bad gas limit";
-    if (h.difficulty != child_difficulty(p, h.timestamp_ms)) {
+    if (h.difficulty != child_difficulty(p)) {
         return "bad difficulty";
     }
     if (!check_pow(h)) return "invalid proof of work";
@@ -366,7 +364,7 @@ Block Blockchain::build_block(const Address& miner,
     h.miner = miner;
     h.timestamp_ms = timestamp_ms;
     h.gas_limit = config_.block_gas_limit;
-    h.difficulty = child_difficulty(parent.block.header, timestamp_ms);
+    h.difficulty = child_difficulty(parent.block.header);
     h.tx_root = block.compute_tx_root();
     const ExecutionResult exec =
         executor_->execute(parent.block.header, block);

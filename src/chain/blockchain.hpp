@@ -125,9 +125,10 @@ public:
         return nonces_;
     }
 
-    /// Expected difficulty for a child of `parent` (retarget rule).
-    [[nodiscard]] std::uint64_t child_difficulty(const BlockHeader& parent,
-                                                 std::uint64_t timestamp_ms) const;
+    /// Expected difficulty for a child of `parent` (retarget rule: the
+    /// parent's own interval, so the child's timestamp plays no part).
+    [[nodiscard]] std::uint64_t child_difficulty(
+        const BlockHeader& parent) const;
 
     [[nodiscard]] std::size_t total_blocks() const { return records_.size(); }
 

@@ -85,9 +85,9 @@ void ModelStore::ingest(const chain::Block& block,
                 if (filter_ && !filter_(chunk->round, chunk->publisher)) {
                     continue;
                 }
-                // The payload travels in the transaction calldata; verify it
-                // against the digest the contract stored (the log publisher
-                // must equal the tx sender by construction of CALLER).
+                // The payload travels in the transaction calldata. The log
+                // publisher must equal the tx sender (by construction of
+                // CALLER); the payload itself is not hashed here.
                 const auto payload = abi::chunk_payload(tx.data());
                 if (!payload.has_value()) continue;
                 if (chunk->publisher != tx.sender()) continue;

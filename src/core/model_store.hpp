@@ -2,8 +2,12 @@
 //
 // Scans the canonical chain for registry events (ModelPublished /
 // ChunkStored), pulls chunk payloads out of transaction calldata
-// (calldata-as-data-availability), verifies every chunk against its on-chain
-// keccak digest and reassembles complete, integrity-checked weight blobs.
+// (calldata-as-data-availability), keeps a chunk only when its log's
+// publisher is the transaction's sender, and reassembles the weight blobs.
+// A model is complete once every announced chunk index has arrived; no
+// chunk is checked against a digest here. The one integrity check, the
+// keccak of the whole blob against the announced model hash, runs at
+// aggregation time (BcflPeer::chain_weights).
 #pragma once
 
 #include <cstdint>
@@ -48,7 +52,7 @@ struct PublishedModel {
     Hash32 model_hash;
     std::uint64_t chunk_count = 0;
     std::uint64_t size_bytes = 0;
-    std::map<std::uint64_t, Bytes> chunks;  // index -> verified payload
+    std::map<std::uint64_t, Bytes> chunks;  // index -> payload
     /// Timestamp of the block whose ingestion completed the model (0 while
     /// incomplete) — the arrival time staleness-aware aggregation decays by.
     net::SimTime completed_at = 0;
@@ -83,7 +87,8 @@ public:
     /// prefix blocks is harmless.
     void sync(const chain::Blockchain& chain);
 
-    /// Publishers with a *complete, verified* model for `round`.
+    /// Publishers with a *complete* model (every chunk present) for
+    /// `round`; the blob's hash is not checked until aggregation.
     [[nodiscard]] std::vector<Address> ready_publishers(
         std::uint64_t round) const;
 

@@ -377,6 +377,10 @@ void JsonValue::write(std::string& out) const {
 
 namespace {
 
+/// Largest roster a spec may declare ("peers"); peer references in the
+/// network section are bounded by it too.
+constexpr std::size_t kMaxPeers = 512;
+
 double require_fraction(double v, const std::string& key) {
     if (v < 0.0 || v > 1.0) {
         fail("\"" + key + "\" must be within [0, 1]");
@@ -433,11 +437,12 @@ void validate_aggregation_widths(const DecentralizedConfig& config) {
 }
 
 /// Peer references must be range-checked *before* the narrowing NodeId
-/// cast, or 2^32 wraps back into the roster and passes validation.
+/// cast, or 2^32 wraps back into the roster and passes validation. The
+/// exact bound (< peers) is validate_peer_refs', once "peers" is known.
 net::NodeId parse_node_id(const JsonValue& value,
                           const std::string& context) {
     const std::uint64_t id = value.as_u64(context);
-    if (id > 255) {
+    if (id >= kMaxPeers) {
         fail("\"" + context + "\": peer index " + std::to_string(id) +
              " is not a plausible roster index");
     }
@@ -1161,8 +1166,9 @@ ScenarioSpec parse_scenario(std::string_view json_text) {
             // Large rosters are the hierarchical topology's reason to
             // exist; whether a roster is *aggregatable* is a per-strategy
             // width question checked by validate_aggregation_widths.
-            if (spec.base.peers < 2 || spec.base.peers > 512) {
-                fail("\"peers\" must be within [2, 512]");
+            if (spec.base.peers < 2 || spec.base.peers > kMaxPeers) {
+                fail("\"peers\" must be within [2, " +
+                     std::to_string(kMaxPeers) + "]");
             }
         } else if (key == "model_hidden") {
             spec.model_hidden = value.as_u64(key);

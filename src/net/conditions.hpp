@@ -6,7 +6,7 @@
 // makes that space declarative: per-link latency distributions sampled from
 // the seeded simulation RNG, asymmetric loss, timed partitions (with heal),
 // and peer churn as scheduled offline windows. The conditions object is
-// pure data — `net::Network` consults it on every send, so the same
+// pure data — `net::SimTransport` consults it on every send, so the same
 // deterministic event loop drives every regime.
 #pragma once
 
@@ -23,7 +23,7 @@ namespace bcfl::net {
 using NodeId = std::uint32_t;
 
 /// Baseline link parameterization of the simulated full mesh (pure data;
-/// `net::Network` interprets it on every send). Models the paper's
+/// `net::SimTransport` interprets it on every send). Models the paper's
 /// three-VM LAN defaults.
 struct LinkParams {
     SimTime latency = ms(5);              // one-way propagation delay
@@ -36,7 +36,7 @@ struct LinkParams {
 };
 
 /// One-way propagation-delay distribution for a link. Every draw consumes
-/// the network's seeded RNG on the simulation thread, so runs stay pure
+/// SimTransport's seeded RNG on the simulation thread, so runs stay pure
 /// functions of (conditions, seed).
 struct LatencyDist {
     enum class Kind { fixed, uniform, exponential, lognormal };

@@ -1,15 +1,12 @@
-// Deterministic discrete-event simulation core.
+// Simulated time and its unit helpers.
 //
 // Everything time-dependent in the reproduction — block mining races, gossip
 // propagation, model-publish latency, the wait-or-not-to-wait trade-off —
-// runs on this clock. Determinism (seeded RNG + stable event ordering) makes
-// every benchmark a pure function of its configuration.
+// is measured in SimTime: simulated microseconds on SimTransport's event
+// clock, wall-clock microseconds on TcpTransport's.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <vector>
 
 namespace bcfl::net {
 
@@ -32,64 +29,5 @@ constexpr SimTime from_seconds(double v) {
 }
 constexpr double to_seconds(SimTime t) { return static_cast<double>(t) / 1e6; }
 constexpr std::uint64_t to_ms(SimTime t) { return t / 1000; }
-
-class Simulation {
-public:
-    using Handler = std::function<void()>;
-
-    [[nodiscard]] SimTime now() const { return now_; }
-
-    /// Schedules a handler at an absolute time (>= now).
-    void schedule_at(SimTime when, Handler handler) {
-        if (when < now_) when = now_;
-        queue_.push(Event{when, next_seq_++, std::move(handler)});
-    }
-
-    void schedule_after(SimTime delay, Handler handler) {
-        schedule_at(now_ + delay, std::move(handler));
-    }
-
-    /// Runs the next event; returns false when the queue is empty.
-    bool step() {
-        if (queue_.empty()) return false;
-        // Copy out before pop so the handler may schedule new events.
-        Event event = queue_.top();
-        queue_.pop();
-        now_ = event.when;
-        event.handler();
-        return true;
-    }
-
-    /// Runs events until the queue drains or simulated time passes `deadline`.
-    void run_until(SimTime deadline) {
-        while (!queue_.empty() && queue_.top().when <= deadline) {
-            if (!step()) break;
-        }
-        if (now_ < deadline) now_ = deadline;
-    }
-
-    /// Runs until the queue is empty (or a safety cap on event count).
-    void run(std::size_t max_events = 100'000'000) {
-        std::size_t executed = 0;
-        while (executed < max_events && step()) ++executed;
-    }
-
-    [[nodiscard]] std::size_t pending() const { return queue_.size(); }
-
-private:
-    struct Event {
-        SimTime when;
-        std::uint64_t seq;  // tie-breaker for determinism
-        Handler handler;
-
-        bool operator>(const Event& other) const {
-            return when != other.when ? when > other.when : seq > other.seq;
-        }
-    };
-
-    std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-    SimTime now_ = 0;
-    std::uint64_t next_seq_ = 0;
-};
 
 }  // namespace bcfl::net

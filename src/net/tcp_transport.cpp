@@ -199,12 +199,6 @@ void TcpTransport::send(NodeId from, NodeId to, Bytes message) {
     }
 }
 
-void TcpTransport::broadcast(NodeId from, const Bytes& message) {
-    for (NodeId to = 0; to < nodes_.size(); ++to) {
-        if (to != from) send(from, to, message);
-    }
-}
-
 void TcpTransport::start() {
     if (started_.exchange(true)) return;
     for (auto& state : nodes_) {

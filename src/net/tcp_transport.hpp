@@ -48,7 +48,6 @@ public:
     NodeId add_node(Receiver receiver) override;
     [[nodiscard]] std::size_t node_count() const override;
     void send(NodeId from, NodeId to, Bytes message) override;
-    void broadcast(NodeId from, const Bytes& message) override;
     [[nodiscard]] SimTime now() const override;
     void schedule_after(NodeId node, SimTime delay, Handler handler) override;
     [[nodiscard]] bool online(NodeId node) const override;

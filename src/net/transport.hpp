@@ -1,6 +1,6 @@
 // The narrow waist of the network layer: every component above it — Node,
 // BcflPeer, the experiment loop — speaks only this interface, never to the
-// discrete-event Simulation or a concrete socket. Two implementations:
+// simulated event queue or a concrete socket. Two implementations:
 //
 //   SimTransport (net/sim_transport.hpp) — the deterministic simulation;
 //     the CI truth. Byte-identical seeded behaviour.
@@ -11,8 +11,8 @@
 //   * `add_node` registers a receiver and returns a dense NodeId; all
 //     registration happens before `start`.
 //   * `send`/`broadcast` are fire-and-forget. Delivery is asynchronous and
-//     per-pair FIFO when the link has no jitter; a send to an out-of-range
-//     destination is counted in TrafficStats::dropped_invalid, never
+//     per-pair FIFO when the link has no jitter; a send from or to an
+//     out-of-range id is counted in TrafficStats::dropped_invalid, never
 //     silently ignored. A self-send is a no-op.
 //   * `now` is microseconds on the backend's own clock (simulated time or
 //     wall clock since construction); it is monotone.
@@ -41,7 +41,7 @@ struct TrafficStats {
     std::uint64_t messages_dropped = 0;
     std::uint64_t dropped_partition = 0;
     std::uint64_t dropped_offline = 0;
-    /// Sends addressed to a NodeId the transport never issued.
+    /// Sends from or to a NodeId the transport never issued.
     std::uint64_t dropped_invalid = 0;
     std::uint64_t bytes_sent = 0;
 };
@@ -60,12 +60,18 @@ public:
     virtual NodeId add_node(Receiver receiver) = 0;
     [[nodiscard]] virtual std::size_t node_count() const = 0;
 
-    /// Fire-and-forget delivery of `message` to `to`. Out-of-range `to` is
-    /// counted as TrafficStats::dropped_invalid; `to == from` is a no-op.
+    /// Fire-and-forget delivery of `message` to `to`. An out-of-range
+    /// `from` or `to` is counted as TrafficStats::dropped_invalid;
+    /// `to == from` is a no-op.
     virtual void send(NodeId from, NodeId to, Bytes message) = 0;
 
-    /// Sends to every other node (flood).
-    virtual void broadcast(NodeId from, const Bytes& message) = 0;
+    /// Sends to every other node (flood): one `send` per peer.
+    virtual void broadcast(NodeId from, const Bytes& message) {
+        const std::size_t nodes = node_count();
+        for (NodeId to = 0; to < nodes; ++to) {
+            if (to != from) send(from, to, message);
+        }
+    }
 
     /// Microseconds on this backend's clock (monotone).
     [[nodiscard]] virtual SimTime now() const = 0;
@@ -97,8 +103,8 @@ public:
     virtual void run(const std::function<bool()>& done, SimTime deadline) = 0;
 
     /// Absolute-time convenience over schedule_after. A `when` already in
-    /// the past fires as soon as possible — the same clamp the simulation
-    /// applies.
+    /// the past fires as soon as possible — the same clamp SimTransport
+    /// applies to its event queue.
     void schedule_at(NodeId node, SimTime when, Handler handler) {
         const SimTime current = now();
         schedule_after(node, when > current ? when - current : 0,

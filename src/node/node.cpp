@@ -20,16 +20,11 @@ Node::Node(net::Transport& transport, NodeConfig config)
       rng_(config.rng_seed ^ config.key_seed * 0x9e3779b97f4a7c15ull),
       executor_(std::make_shared<VmBlockExecutor>(config.chain.gas)),
       pool_(config.chain.gas) {
-    // Genesis must commit to the registry-bearing state.
-    vm::WorldState genesis = genesis_state();
-    const Hash32 genesis_root = genesis.state_root();
     config_.chain.genesis_timestamp_ms = 0;
     chain_ = std::make_unique<chain::Blockchain>(config_.chain, executor_);
-    // The default genesis has a zero state root; rebuild it with the real
-    // root so view calls at genesis resolve. Blockchain's genesis is
-    // internal, so instead register the state under the genesis header.
-    (void)genesis_root;
-    executor_->register_genesis(chain_->genesis().header, std::move(genesis));
+    // The genesis header keeps its zero state root; the registry-bearing
+    // state is registered under it so view calls at genesis resolve.
+    executor_->register_genesis(chain_->genesis().header, genesis_state());
     id_ = transport_.add_node(
         [this](net::NodeId from, const Bytes& msg) { handle_message(from, msg); });
 }
@@ -280,8 +275,7 @@ void Node::schedule_mining() {
     const std::uint64_t generation = ++mining_generation_;
     const double effective_rate =
         config_.hash_rate * (1.0 - compute_load_);
-    const std::uint64_t difficulty =
-        chain_->child_difficulty(chain_->head(), net::to_ms(transport_.now()));
+    const std::uint64_t difficulty = chain_->child_difficulty(chain_->head());
     const double mean_seconds =
         static_cast<double>(difficulty) / std::max(effective_rate, 1e-9);
     const double delay_seconds = rng_.exponential(mean_seconds);

@@ -75,10 +75,6 @@ protected:
         }
     }
 
-    void run_until(net::SimTime deadline) {
-        transport_.sim().run_until(deadline);
-    }
-
     net::SimTransport transport_;
     std::unique_ptr<node::Node> node_;
     std::uint64_t nonce_ = 0;
@@ -91,7 +87,7 @@ TEST_F(ModelStoreTest, CollectsAndReassemblesChunkedModel) {
         weights[i] = static_cast<float>(i) * 0.25f;
     }
     publish_model(4, weights, 512);
-    run_until(net::seconds(60));
+    transport_.run_until(net::seconds(60));
 
     ModelStore store;
     store.sync(node_->chain());
@@ -106,7 +102,7 @@ TEST_F(ModelStoreTest, CollectsAndReassemblesChunkedModel) {
 TEST_F(ModelStoreTest, SyncIsIdempotent) {
     node_->start();
     publish_model(1, std::vector<float>(100, 1.0f), 128);
-    run_until(net::seconds(60));
+    transport_.run_until(net::seconds(60));
     ModelStore store;
     store.sync(node_->chain());
     const std::size_t scanned = store.blocks_scanned();
@@ -121,7 +117,7 @@ TEST_F(ModelStoreTest, SyncIsIncrementalAcrossPolls) {
     // total ingestions equal the chain height, not its running sum.
     node_->start();
     publish_model(1, std::vector<float>(100, 1.0f), 128);
-    run_until(net::seconds(60));
+    transport_.run_until(net::seconds(60));
 
     ModelStore store;
     store.sync(node_->chain());
@@ -131,7 +127,7 @@ TEST_F(ModelStoreTest, SyncIsIncrementalAcrossPolls) {
     EXPECT_EQ(store.blocks_scanned(), first_height);
 
     publish_model(2, std::vector<float>(100, 2.0f), 128);
-    run_until(net::seconds(120));
+    transport_.run_until(net::seconds(120));
     store.sync(node_->chain());
     const std::uint64_t second_height = node_->chain().height();
     ASSERT_GT(second_height, first_height);
@@ -178,12 +174,12 @@ TEST(ModelStoreReorg, CursorMismatchTriggersFullRescan) {
 
     MiniChain branch_a(31);
     branch_a.publish(1, std::vector<float>(60, 1.0f));
-    branch_a.transport.sim().run_until(net::seconds(60));
+    branch_a.transport.run_until(net::seconds(60));
 
     MiniChain branch_b(32);
     branch_b.publish(1, std::vector<float>(60, 2.0f));
     branch_b.publish(2, std::vector<float>(60, 3.0f));
-    branch_b.transport.sim().run_until(net::seconds(120));
+    branch_b.transport.run_until(net::seconds(120));
 
     ModelStore store;
     store.sync(branch_a.node->chain());
@@ -216,7 +212,7 @@ TEST_F(ModelStoreTest, IncompleteModelNotReady) {
     node_->submit_tx(chain::Transaction::make_signed(
         node_->key(), nonce_++, vm::registry_address(), 5'000'000, 1,
         abi::chunk_calldata(2, 0, BytesView(payload).subspan(0, 50))));
-    run_until(net::seconds(60));
+    transport_.run_until(net::seconds(60));
 
     ModelStore store;
     store.sync(node_->chain());
@@ -232,7 +228,7 @@ TEST_F(ModelStoreTest, IncompleteModelNotReady) {
 TEST_F(ModelStoreTest, AuditProofRoundTrip) {
     node_->start();
     publish_model(6, std::vector<float>(50, 3.0f), 512);
-    run_until(net::seconds(60));
+    transport_.run_until(net::seconds(60));
 
     const auto proof =
         build_audit_proof(node_->chain(), 6, node_->address());
@@ -250,7 +246,7 @@ TEST_F(ModelStoreTest, AuditProofRoundTrip) {
 TEST_F(ModelStoreTest, AuditDetectsWrongPublisher) {
     node_->start();
     publish_model(7, std::vector<float>(50, 3.0f), 512);
-    run_until(net::seconds(60));
+    transport_.run_until(net::seconds(60));
     const auto proof = build_audit_proof(node_->chain(), 7, node_->address());
     ASSERT_TRUE(proof.has_value());
     const Address impostor = crypto::KeyPair::from_seed(999).address();
@@ -260,7 +256,7 @@ TEST_F(ModelStoreTest, AuditDetectsWrongPublisher) {
 TEST_F(ModelStoreTest, AuditDetectsTamperedProof) {
     node_->start();
     publish_model(8, std::vector<float>(50, 4.0f), 512);
-    run_until(net::seconds(60));
+    transport_.run_until(net::seconds(60));
     auto proof = build_audit_proof(node_->chain(), 8, node_->address());
     ASSERT_TRUE(proof.has_value());
 
@@ -293,7 +289,7 @@ TEST_F(ModelStoreTest, AuditDetectsTamperedProof) {
 
 TEST_F(ModelStoreTest, AuditMissingPublicationReturnsNull) {
     node_->start();
-    run_until(net::seconds(10));
+    transport_.run_until(net::seconds(10));
     EXPECT_FALSE(
         build_audit_proof(node_->chain(), 1, node_->address()).has_value());
 }

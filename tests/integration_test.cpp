@@ -96,7 +96,7 @@ TEST(Integration, AllNodesAgreeOnStateRoot) {
         },
         net::seconds(5000));
     // Let gossip settle, then compare a common block's state root.
-    transport.sim().run_until(transport.now() + net::seconds(30));
+    transport.run_until(transport.now() + net::seconds(30));
     const std::uint64_t common = std::min(
         {nodes[0]->chain().height(), nodes[1]->chain().height(),
          nodes[2]->chain().height()});
@@ -134,7 +134,7 @@ TEST(Integration, PeerRejectsModelWithMismatchedAnnouncement) {
     node.submit_tx(chain::Transaction::make_signed(
         node.key(), nonce++, vm::registry_address(), 5'000'000, 1,
         abi::chunk_calldata(1, 0, shipped_blob)));
-    transport.sim().run_until(net::seconds(40));
+    transport.run_until(net::seconds(40));
 
     ModelStore store;
     store.sync(node.chain());

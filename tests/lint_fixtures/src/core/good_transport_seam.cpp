@@ -1,6 +1,7 @@
 // lint fixture: known-good — code above the seam speaking the abstract
-// interface only. Referencing net::Transport (or the SimTransport escape
-// hatch via auto) is exactly what the sim-coupling rule wants.
+// interface only. Referencing net::Transport (or SimTransport, whose
+// run_until drives the simulated clock) is exactly what the sim-coupling
+// rule wants.
 namespace bcfl::fixture {
 
 namespace net {
@@ -15,8 +16,8 @@ struct DecoupledRunner {
 void drive(net::Transport& transport);
 
 void bench_clock(net::SimTransport& transport) {
-    // Benches drive the simulated clock through the escape hatch; the
-    // binding is by auto, never by the concrete Simulation type.
+    // Benches drive the simulated clock through SimTransport::run_until,
+    // never through a concrete Simulation type.
     (void)transport;
 }
 

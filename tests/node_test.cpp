@@ -36,12 +36,6 @@ protected:
         for (auto& node : nodes_) node->start();
     }
 
-    /// Tests drive the simulated clock directly through the backend's
-    /// escape hatch (product code goes through the Transport interface).
-    void run_until(net::SimTime deadline) {
-        transport_.sim().run_until(deadline);
-    }
-
     net::SimTransport transport_;
     std::vector<std::unique_ptr<Node>> nodes_;
 };
@@ -55,7 +49,7 @@ TEST_F(NodeNetworkTest, AllNodesShareGenesis) {
 
 TEST_F(NodeNetworkTest, MinersProduceAndPropagateBlocks) {
     start_all();
-    run_until(net::seconds(120));
+    transport_.run_until(net::seconds(120));
     // Everyone should be well past genesis and agree on the head.
     EXPECT_GT(nodes_[0]->chain().height(), 5u);
     EXPECT_EQ(nodes_[0]->chain().head_hash(), nodes_[1]->chain().head_hash());
@@ -75,7 +69,7 @@ TEST_F(NodeNetworkTest, TransactionReachesChainEverywhere) {
     const auto tx = chain::Transaction::make_signed(
         key, 0, vm::registry_address(), 5'000'000, 1, calldata);
     nodes_[1]->submit_tx(tx);
-    run_until(net::seconds(120));
+    transport_.run_until(net::seconds(120));
 
     for (const auto& node : nodes_) {
         const auto loc = node->chain().locate_tx(tx.hash());
@@ -97,7 +91,7 @@ TEST_F(NodeNetworkTest, ContractEventVisibleInReceipts) {
         key, 0, vm::registry_address(), 5'000'000, 1,
         abi::publish_calldata(3, crypto::keccak256(str_bytes("m")), 1, 10));
     nodes_[0]->submit_tx(tx);
-    run_until(net::seconds(120));
+    transport_.run_until(net::seconds(120));
 
     const auto loc = nodes_[2]->chain().locate_tx(tx.hash());
     ASSERT_TRUE(loc.has_value());
@@ -129,7 +123,7 @@ TEST_F(NodeNetworkTest, ChunkedModelPublishes) {
             key, nonce++, vm::registry_address(), 5'000'000, 1,
             abi::chunk_calldata(1, i, chunks[i])));
     }
-    run_until(net::seconds(200));
+    transport_.run_until(net::seconds(200));
 
     // A different node reconstructs the chunks from calldata.
     const auto& observer = *nodes_[2];
@@ -159,7 +153,7 @@ TEST_F(NodeNetworkTest, ComputeLoadSlowsMining) {
         Node node(transport, config);
         node.set_compute_load(load);
         node.start();
-        transport.sim().run_until(net::seconds(600));
+        transport.run_until(net::seconds(600));
         return node.chain().height();
     };
     const auto idle_height = run_blocks(0.0);
@@ -203,12 +197,12 @@ TEST(NodePartition, ForksReconvergeThroughAncestorSyncAfterHeal) {
     }
     for (auto& node : nodes) node->start();
 
-    transport.sim().run_until(net::seconds(110));
+    transport.run_until(net::seconds(110));
     // Mid-partition: the island disagrees with the majority side.
     EXPECT_NE(nodes[0]->chain().head_hash(), nodes[2]->chain().head_hash());
     EXPECT_GT(transport.stats().dropped_partition, 0u);
 
-    transport.sim().run_until(net::seconds(300));
+    transport.run_until(net::seconds(300));
     EXPECT_EQ(nodes[0]->chain().head_hash(), nodes[1]->chain().head_hash());
     EXPECT_EQ(nodes[1]->chain().head_hash(), nodes[2]->chain().head_hash());
     // Reconvergence used the sync protocol, and somebody reorged.
@@ -246,7 +240,7 @@ TEST(NodeGossip, SeenSetIsBoundedByGenerationalRotation) {
         nodes.push_back(std::make_unique<Node>(transport, config));
     }
     for (auto& node : nodes) node->start();
-    transport.sim().run_until(net::seconds(400));  // ~1 block/s: well past the cap
+    transport.run_until(net::seconds(400));  // ~1 block/s: well past the cap
 
     ASSERT_GT(nodes[0]->chain().height(), 128u);
     EXPECT_EQ(nodes[0]->chain().head_hash(), nodes[1]->chain().head_hash());
@@ -294,12 +288,12 @@ TEST(NodeGossip, WrappingRlpLengthIsDroppedNotFatal) {
                                 0xff, 0xff, 0xff, 0xf7};
     transport.send(attacker, follower.id(), with_kind(1, wrapping_string));
     transport.send(attacker, follower.id(), with_kind(2, wrapping_string));
-    transport.sim().run_until(net::seconds(1));
+    transport.run_until(net::seconds(1));
     EXPECT_EQ(follower.chain().height(), 0u);
 
     // The follower still imports what the miner seals afterwards.
     miner.start();
-    transport.sim().run_until(net::seconds(60));
+    transport.run_until(net::seconds(60));
     EXPECT_GT(follower.chain().height(), 0u);
     EXPECT_EQ(follower.chain().head_hash(), miner.chain().head_hash());
     EXPECT_EQ(follower.stats().blocks_rejected, 0u);
@@ -350,14 +344,14 @@ TEST(NodeImport, UnpooledTxIsVerifiedAtImport) {
     EXPECT_EQ(builder.import_block(bad_block).reason, "bad tx signature");
 
     transport.send(peer, node.id(), with_kind(2, bad_block.encode()));
-    transport.sim().run_until(net::seconds(1));
+    transport.run_until(net::seconds(1));
     EXPECT_EQ(node.stats().blocks_rejected, 1u);
     EXPECT_EQ(node.chain().height(), 0u);
 
     // Control: the same block with the honest tx imports, so the forgery
     // alone caused the rejection.
     transport.send(peer, node.id(), with_kind(2, good_block.encode()));
-    transport.sim().run_until(net::seconds(2));
+    transport.run_until(net::seconds(2));
     EXPECT_EQ(node.stats().blocks_rejected, 1u);
     EXPECT_EQ(node.chain().head_hash(), good_block.hash());
 }
@@ -369,7 +363,7 @@ TEST(NodeSingle, NonMinerNeverExtendsChain) {
     config.mine = false;
     Node node(transport, config);
     node.start();
-    transport.sim().run_until(net::seconds(60));
+    transport.run_until(net::seconds(60));
     EXPECT_EQ(node.chain().height(), 0u);
 }
 

@@ -298,6 +298,26 @@ TEST(ScenarioSpec, RejectsBrokenTopologies) {
     expect_parse_error(minimal_spec(R"(,"peers":600)"), "[2, 512]");
 }
 
+TEST(ScenarioSpec, NetworkSectionNamesPeersOfLargeRosters) {
+    // Links, partition groups and churn may name any peer of the roster,
+    // past index 255 too...
+    const std::string roster = R"(,"peers":320,"cluster_size":16,)";
+    const ScenarioSpec spec = parse_scenario(minimal_spec(
+        roster + R"("network":{"links":[{"a":310,"b":0,"loss":0.1}],)"
+                 R"("partitions":[{"from_s":1,"until_s":9,"groups":[[305]]}],)"
+                 R"("churn":[{"peer":300,"offline":[[10,20]]}]})"));
+    const net::NetworkConditions& conditions = spec.base.conditions;
+    ASSERT_EQ(conditions.links.size(), 1u);
+    EXPECT_EQ(conditions.links[0].a, 310u);
+    EXPECT_TRUE(conditions.partitions[0].separates(305, 0));
+    EXPECT_TRUE(conditions.offline(300, net::seconds(15)));
+    // ...but not one outside it.
+    expect_parse_error(
+        minimal_spec(roster +
+                     R"("network":{"churn":[{"peer":320,"offline":[[10,20]]}]})"),
+        "outside the peer set");
+}
+
 TEST(ScenarioSpec, ParsesNetworkConditions) {
     const ScenarioSpec spec = parse_scenario(minimal_spec(R"(,"network":{
         "default_latency":{"dist":"lognormal","median_ms":40,"sigma":0.6},

@@ -154,6 +154,24 @@ TEST_P(TransportConformanceTest, OutOfRangeDestinationCountsDroppedInvalid) {
     EXPECT_EQ(stats.messages_delivered, 0u);
 }
 
+TEST_P(TransportConformanceTest, OutOfRangeSenderCountsDroppedInvalid) {
+    auto transport = make_transport(GetParam());
+    Sink sink;
+    transport->add_node(sink.receiver());
+    transport->add_node(sink.receiver());
+    transport->start();
+
+    transport->send(99, 0, Bytes{1, 2, 3});
+    transport->stop();
+
+    const TrafficStats stats = transport->stats();
+    EXPECT_EQ(stats.messages_sent, 1u);
+    EXPECT_EQ(stats.bytes_sent, 3u);
+    EXPECT_EQ(stats.messages_dropped, 1u);
+    EXPECT_EQ(stats.dropped_invalid, 1u);
+    EXPECT_EQ(stats.messages_delivered, 0u);
+}
+
 TEST_P(TransportConformanceTest, SelfSendIsSilentlyIgnored) {
     auto transport = make_transport(GetParam());
     Sink sink;
