@@ -4,7 +4,7 @@
 // ChunkStored), pulls chunk payloads out of transaction calldata
 // (calldata-as-data-availability), keeps a chunk only when its log's
 // publisher is the transaction's sender, and reassembles the weight blobs.
-// A model is complete once every announced chunk index has arrived; no
+// A model is complete once its chunk indices are exactly 0..count-1; no
 // chunk is checked against a digest here. The one integrity check, the
 // keccak of the whole blob against the announced model hash, runs at
 // aggregation time (BcflPeer::chain_weights).
@@ -57,8 +57,11 @@ struct PublishedModel {
     /// incomplete) — the arrival time staleness-aware aggregation decays by.
     net::SimTime completed_at = 0;
 
+    /// The stored indices are exactly 0..chunk_count-1: as many distinct
+    /// indices as announced, the largest of them chunk_count-1.
     [[nodiscard]] bool complete() const {
-        return chunk_count > 0 && chunks.size() == chunk_count;
+        return chunk_count > 0 && chunks.size() == chunk_count &&
+               chunks.rbegin()->first == chunk_count - 1;
     }
     /// Concatenated payload (chunks in index order); call only if complete.
     [[nodiscard]] Bytes assemble() const;

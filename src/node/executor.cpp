@@ -24,7 +24,8 @@ void VmBlockExecutor::register_genesis(const chain::BlockHeader& genesis,
 
 chain::ExecutionResult VmBlockExecutor::execute(
     const chain::BlockHeader& parent, const chain::Block& block) {
-    const Key key{parent.hash(), block.compute_tx_root()};
+    const Key key{parent.hash(), block.compute_tx_root(),
+                  block.header.timestamp_ms};
     if (const auto it = cache_.find(key); it != cache_.end()) {
         return it->second.result;
     }
@@ -34,8 +35,7 @@ chain::ExecutionResult VmBlockExecutor::execute(
     if (has_genesis_ && parent.hash() == genesis_hash_) {
         parent_state = &genesis_state_;
     } else {
-        const Key parent_key{parent.parent_hash, parent.tx_root};
-        const auto it = cache_.find(parent_key);
+        const auto it = cache_.find(key_of(parent));
         if (it == cache_.end()) {
             throw Error("executor: unknown parent state");
         }
@@ -112,8 +112,7 @@ chain::ExecutionResult VmBlockExecutor::execute(
 const vm::WorldState& VmBlockExecutor::state_after(
     const chain::BlockHeader& header) const {
     if (has_genesis_ && header.hash() == genesis_hash_) return genesis_state_;
-    const Key key{header.parent_hash, header.tx_root};
-    const auto it = cache_.find(key);
+    const auto it = cache_.find(key_of(header));
     if (it == cache_.end()) throw Error("executor: state not available");
     return it->second.state;
 }

@@ -1,13 +1,14 @@
 // VmBlockExecutor: deterministic block execution against MiniEVM world state.
 //
-// Each node owns one executor; results are cached by (parent hash, tx root)
-// so sealing a block and re-importing it does not execute twice, and the
-// post-state of every imported block stays queryable (eth_call at head).
+// Each node owns one executor; results are cached by (parent hash, tx root,
+// timestamp), everything a block's execution reads, so sealing a block and
+// re-importing it does not execute twice, and the post-state of every
+// imported block stays queryable (eth_call at head).
 #pragma once
 
 #include <map>
 #include <memory>
-#include <utility>
+#include <tuple>
 
 #include "chain/blockchain.hpp"
 #include "vm/analysis.hpp"
@@ -48,7 +49,12 @@ public:
                                                   std::uint64_t nonce);
 
 private:
-    using Key = std::pair<Hash32, Hash32>;  // (parent hash, tx root)
+    // (parent hash, tx root, timestamp): TIMESTAMP reads the block's
+    // timestamp, and the block number follows from the parent.
+    using Key = std::tuple<Hash32, Hash32, std::uint64_t>;
+    [[nodiscard]] static Key key_of(const chain::BlockHeader& header) {
+        return {header.parent_hash, header.tx_root, header.timestamp_ms};
+    }
 
     struct Entry {
         vm::WorldState state;

@@ -34,72 +34,6 @@ constexpr std::size_t kMaxDiagnostics = 128;
 /// but never unsound acceptance.
 constexpr int kWidenAfter = 64;
 
-/// Static per-opcode model: minimum stack height required on entry, net
-/// height change, static gas lower bound, environment bits. PUSH/DUP/SWAP/
-/// LOG ranges are handled by the caller before the switch.
-struct OpInfo {
-    bool defined = false;
-    int require = 0;
-    int delta = 0;
-    std::uint64_t gas = 0;
-    std::uint8_t env = 0;
-};
-
-OpInfo op_info(std::uint8_t byte, const chain::GasSchedule& g) {
-    if (is_push(byte)) return {true, 0, +1, g.vm_base, 0};
-    if (byte >= 0x80 && byte <= 0x8f) {  // DUPn
-        return {true, byte - 0x7f, +1, g.vm_base, 0};
-    }
-    if (byte >= 0x90 && byte <= 0x9f) {  // SWAPn
-        return {true, byte - 0x8f + 1, 0, g.vm_base, 0};
-    }
-    if (byte >= 0xa0 && byte <= 0xa4) {  // LOGn
-        const int topics = byte - 0xa0;
-        return {true, 2 + topics, -(2 + topics),
-                g.vm_log_base + g.vm_log_topic * static_cast<unsigned>(topics),
-                0};
-    }
-    switch (static_cast<Op>(byte)) {
-        case Op::STOP: return {true, 0, 0, 0, 0};
-        case Op::ADD: return {true, 2, -1, g.vm_base, 0};
-        case Op::SUB: return {true, 2, -1, g.vm_base, 0};
-        case Op::MUL: return {true, 2, -1, g.vm_low, 0};
-        case Op::DIV: return {true, 2, -1, g.vm_low, 0};
-        case Op::MOD: return {true, 2, -1, g.vm_low, 0};
-        case Op::LT: return {true, 2, -1, g.vm_base, 0};
-        case Op::GT: return {true, 2, -1, g.vm_base, 0};
-        case Op::EQ: return {true, 2, -1, g.vm_base, 0};
-        case Op::ISZERO: return {true, 1, 0, g.vm_base, 0};
-        case Op::AND: return {true, 2, -1, g.vm_base, 0};
-        case Op::OR: return {true, 2, -1, g.vm_base, 0};
-        case Op::XOR: return {true, 2, -1, g.vm_base, 0};
-        case Op::NOT: return {true, 1, 0, g.vm_base, 0};
-        case Op::SHL: return {true, 2, -1, g.vm_base, 0};
-        case Op::SHR: return {true, 2, -1, g.vm_base, 0};
-        case Op::SHA3: return {true, 2, -1, g.vm_sha3_base, 0};
-        case Op::CALLER: return {true, 0, +1, g.vm_base, kEnvCaller};
-        case Op::CALLDATALOAD: return {true, 1, 0, g.vm_base, 0};
-        case Op::CALLDATASIZE: return {true, 0, +1, g.vm_base, 0};
-        case Op::CALLDATACOPY: return {true, 3, -3, g.vm_base, 0};
-        case Op::TIMESTAMP: return {true, 0, +1, g.vm_base, kEnvTimestamp};
-        case Op::NUMBER: return {true, 0, +1, g.vm_base, kEnvNumber};
-        case Op::POP: return {true, 1, -1, g.vm_base, 0};
-        case Op::MLOAD: return {true, 1, 0, g.vm_base, 0};
-        case Op::MSTORE: return {true, 2, -2, g.vm_base, 0};
-        case Op::SLOAD: return {true, 1, 0, g.vm_sload, 0};
-        // Lower bound: a reset (5k) is cheaper than a fresh set (20k).
-        case Op::SSTORE: return {true, 2, -2, g.vm_sstore_reset, 0};
-        case Op::JUMP: return {true, 1, -1, g.vm_mid, 0};
-        case Op::JUMPI: return {true, 2, -2, g.vm_mid, 0};
-        case Op::PC: return {true, 0, +1, g.vm_base, 0};
-        case Op::GAS: return {true, 0, +1, g.vm_base, kEnvGas};
-        case Op::JUMPDEST: return {true, 0, 0, g.vm_base, 0};
-        case Op::RETURN: return {true, 2, -2, 0, 0};
-        case Op::REVERT: return {true, 2, -2, 0, 0};
-        default: return {};
-    }
-}
-
 /// One decoded instruction. `size` includes the PUSH immediate; `truncated`
 /// marks a PUSH whose span runs past the end of code *by more than the one
 /// byte the interpreter zero-pads* — exactly the inputs that abort with
@@ -166,7 +100,7 @@ private:
     }
 
     /// Linear instruction sweep using the interpreter's exact advance rule
-    /// (`pc += is_push ? 1 + width : 1`), which is also how the JUMPDEST
+    /// (`pc += 1 + immediate width`), which is also how the JUMPDEST
     /// bitmap is defined — so bytes inside PUSH immediates are data, never
     /// instructions, and jump-into-push-data cannot be missed.
     void decode() {
@@ -175,9 +109,9 @@ private:
             Insn insn;
             insn.offset = i;
             insn.byte = code_[i];
-            if (is_push(insn.byte)) {
-                const auto width =
-                    static_cast<std::size_t>(push_width(insn.byte));
+            const auto width =
+                static_cast<std::size_t>(kOps[insn.byte].immediate);
+            if (width > 0) {
                 insn.size = 1 + width;
                 // The interpreter zero-pads a PUSH short by exactly one
                 // byte and aborts only when i + width > code.size().
@@ -190,10 +124,9 @@ private:
         }
     }
 
-    static bool is_terminator(const Insn& insn,
-                              const chain::GasSchedule& gas) {
+    static bool is_terminator(const Insn& insn) {
         if (insn.truncated) return true;  // runtime abort, no fall-through
-        if (!op_info(insn.byte, gas).defined) return true;  // invalid opcode
+        if (!kOps[insn.byte].defined()) return true;  // invalid opcode
         switch (static_cast<Op>(insn.byte)) {
             case Op::STOP:
             case Op::JUMP:
@@ -210,7 +143,7 @@ private:
         for (std::size_t i = 0; i < insns_.size(); ++i) {
             const Insn& insn = insns_[i];
             if (static_cast<Op>(insn.byte) == Op::JUMPDEST) leader[i] = true;
-            const bool ends_block = is_terminator(insn, gas_) ||
+            const bool ends_block = is_terminator(insn) ||
                                     static_cast<Op>(insn.byte) == Op::JUMPI;
             if (ends_block && i + 1 < insns_.size()) leader[i + 1] = true;
         }
@@ -240,7 +173,8 @@ private:
     /// false when the value does not fit 64 bits (always an invalid target:
     /// code is far smaller than 2^64 bytes).
     bool push_value(const Insn& push, std::uint64_t& value) const {
-        const auto width = static_cast<std::size_t>(push_width(push.byte));
+        const auto width =
+            static_cast<std::size_t>(kOps[push.byte].immediate);
         value = 0;
         for (std::size_t i = 0; i < width; ++i) {
             const std::size_t at = push.offset + 1 + i;
@@ -265,12 +199,12 @@ private:
             int d = 0;
             for (std::size_t i = begin; i < last; ++i) {
                 const Insn& insn = insns_[i];
-                const OpInfo info = op_info(insn.byte, gas_);
-                if (insn.truncated || !info.defined) break;
+                const OpInfo& info = kOps[insn.byte];
+                if (insn.truncated || !info.defined()) break;
                 block.min_entry = std::max(block.min_entry, info.require - d);
                 d += info.delta;
                 block.peak = std::max(block.peak, d);
-                block.static_gas += info.gas;
+                block.static_gas += static_gas(info, gas_);
                 block.env_mask |= info.env;
             }
             block.delta = d;
@@ -280,10 +214,11 @@ private:
             PerBlock& extra = per_block_[b];
             extra.last_insn = last - 1;
             const Op tail_op = static_cast<Op>(tail.byte);
-            if (tail.truncated || !op_info(tail.byte, gas_).defined) {
+            if (tail.truncated || !kOps[tail.byte].defined()) {
                 extra.fatal_tail = true;  // diagnosed when proven reachable
             } else if (tail_op == Op::JUMP || tail_op == Op::JUMPI) {
-                if (last - 1 == begin || !is_push(insns_[last - 2].byte)) {
+                if (last - 1 == begin ||
+                    kOps[insns_[last - 2].byte].op != Op::PUSH1) {
                     extra.dynamic_jump = true;
                 } else {
                     std::uint64_t target = 0;
@@ -370,8 +305,8 @@ private:
             int d = 0;
             const std::size_t begin = first_insn_[b];
             for (std::size_t i = begin; i <= extra.last_insn; ++i) {
-                const OpInfo info = op_info(insns_[i].byte, gas_);
-                if (!info.defined || insns_[i].truncated) break;
+                const OpInfo& info = kOps[insns_[i].byte];
+                if (!info.defined() || insns_[i].truncated) break;
                 if (block.entry_min + d < info.require) {
                     std::ostringstream detail;
                     detail << insn_name(insns_[i].byte) << " needs "
@@ -392,8 +327,8 @@ private:
             const std::size_t begin = first_insn_[b];
             std::size_t at = insns_[begin].offset;
             for (std::size_t i = begin; i <= extra.last_insn; ++i) {
-                const OpInfo info = op_info(insns_[i].byte, gas_);
-                if (!info.defined || insns_[i].truncated) break;
+                const OpInfo& info = kOps[insns_[i].byte];
+                if (!info.defined() || insns_[i].truncated) break;
                 d += info.delta;
                 if (block.entry_max + d > max_stack_) {
                     at = insns_[i].offset;

@@ -23,18 +23,11 @@
 #include "chain/gas.hpp"
 #include "common/bytes.hpp"
 #include "common/sync.hpp"
+#include "vm/opcodes.hpp"
 
 namespace bcfl::vm {
 
 enum class Verdict : std::uint8_t { valid, invalid };
-
-// Environment-dependence bits: opcodes whose result depends on block/tx
-// context rather than code + storage alone. Scenario policies can use the
-// mask to classify contracts (e.g. forbid TIMESTAMP-dependent gating).
-inline constexpr std::uint8_t kEnvTimestamp = 1u << 0;  // TIMESTAMP
-inline constexpr std::uint8_t kEnvNumber = 1u << 1;     // NUMBER
-inline constexpr std::uint8_t kEnvGas = 1u << 2;        // GAS
-inline constexpr std::uint8_t kEnvCaller = 1u << 3;     // CALLER
 
 /// One analyzer finding. `name` is a stable kebab-case identifier (the set
 /// is documented in docs/vm.md and enforced by scripts/check_docs.sh);

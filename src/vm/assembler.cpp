@@ -76,50 +76,19 @@ std::vector<Token> tokenize(std::string_view source) {
     throw DecodeError(out.str());
 }
 
-std::optional<std::uint8_t> simple_opcode(const std::string& name) {
-    static const std::map<std::string, Op> kOps = {
-        {"STOP", Op::STOP},       {"ADD", Op::ADD},
-        {"MUL", Op::MUL},         {"SUB", Op::SUB},
-        {"DIV", Op::DIV},         {"MOD", Op::MOD},
-        {"LT", Op::LT},           {"GT", Op::GT},
-        {"EQ", Op::EQ},           {"ISZERO", Op::ISZERO},
-        {"AND", Op::AND},         {"OR", Op::OR},
-        {"XOR", Op::XOR},         {"NOT", Op::NOT},
-        {"SHL", Op::SHL},         {"SHR", Op::SHR},
-        {"SHA3", Op::SHA3},       {"CALLER", Op::CALLER},
-        {"CALLDATALOAD", Op::CALLDATALOAD},
-        {"CALLDATASIZE", Op::CALLDATASIZE},
-        {"CALLDATACOPY", Op::CALLDATACOPY},
-        {"TIMESTAMP", Op::TIMESTAMP},
-        {"NUMBER", Op::NUMBER},   {"POP", Op::POP},
-        {"MLOAD", Op::MLOAD},     {"MSTORE", Op::MSTORE},
-        {"SLOAD", Op::SLOAD},     {"SSTORE", Op::SSTORE},
-        {"JUMP", Op::JUMP},       {"JUMPI", Op::JUMPI},
-        {"PC", Op::PC},           {"GAS", Op::GAS},
-        {"JUMPDEST", Op::JUMPDEST},
-        {"RETURN", Op::RETURN},   {"REVERT", Op::REVERT},
-    };
-    const auto it = kOps.find(name);
-    if (it != kOps.end()) return static_cast<std::uint8_t>(it->second);
-
-    const auto numbered = [&](std::string_view prefix, std::uint8_t base,
-                              int max_n) -> std::optional<std::uint8_t> {
-        if (!name.starts_with(prefix)) return std::nullopt;
-        const std::string digits = name.substr(prefix.size());
-        if (digits.empty() || digits.size() > 2) return std::nullopt;
-        for (char c : digits) {
-            if (!std::isdigit(static_cast<unsigned char>(c))) {
-                return std::nullopt;
-            }
+/// Opcode byte for a full mnemonic, looked up in the opcode table.
+std::optional<std::uint8_t> opcode_of(const std::string& name) {
+    static const std::map<std::string, std::uint8_t> kByMnemonic = [] {
+        std::map<std::string, std::uint8_t> by_mnemonic;
+        for (std::size_t byte = 0; byte < kOps.size(); ++byte) {
+            const auto b = static_cast<std::uint8_t>(byte);
+            if (kOps[b].defined()) by_mnemonic.emplace(mnemonic(b), b);
         }
-        const int n = std::stoi(digits);
-        if (n < (prefix == "LOG" ? 0 : 1) || n > max_n) return std::nullopt;
-        return static_cast<std::uint8_t>(base + n - (prefix == "LOG" ? 0 : 1));
-    };
-    if (auto op = numbered("DUP", 0x80, 16)) return op;
-    if (auto op = numbered("SWAP", 0x90, 16)) return op;
-    if (auto op = numbered("LOG", 0xa0, 4)) return op;
-    return std::nullopt;
+        return by_mnemonic;
+    }();
+    const auto it = kByMnemonic.find(name);
+    if (it == kByMnemonic.end()) return std::nullopt;
+    return it->second;
 }
 
 /// Parses a PUSH immediate into big-endian bytes of exactly `width`.
@@ -157,18 +126,6 @@ Bytes parse_immediate(const Token& token, std::size_t width) {
     return padded;
 }
 
-std::optional<std::size_t> push_width_of(const std::string& name) {
-    if (!name.starts_with("PUSH")) return std::nullopt;
-    const std::string digits = name.substr(4);
-    if (digits.empty() || digits.size() > 2) return std::nullopt;
-    for (char c : digits) {
-        if (!std::isdigit(static_cast<unsigned char>(c))) return std::nullopt;
-    }
-    const int n = std::stoi(digits);
-    if (n < 1 || n > 32) return std::nullopt;
-    return static_cast<std::size_t>(n);
-}
-
 }  // namespace
 
 Bytes assemble(std::string_view source,
@@ -194,17 +151,14 @@ Bytes assemble(std::string_view source,
             offset += 3;  // PUSH2 + 2 bytes
             continue;
         }
-        if (const auto width = push_width_of(token.text)) {
+        const auto byte = opcode_of(token.text);
+        if (!byte) fail(token, "unknown mnemonic");
+        const auto width = static_cast<std::size_t>(kOps[*byte].immediate);
+        if (width > 0) {
             if (i + 1 >= tokens.size()) fail(token, "PUSH missing immediate");
             ++i;  // skip immediate token
-            offset += 1 + *width;
-            continue;
         }
-        if (simple_opcode(token.text)) {
-            offset += 1;
-            continue;
-        }
-        fail(token, "unknown mnemonic");
+        offset += 1 + width;
     }
 
     // Pass 2: emit bytes.
@@ -224,13 +178,10 @@ Bytes assemble(std::string_view source,
             code.push_back(static_cast<std::uint8_t>(it->second & 0xff));
             continue;
         }
-        if (const auto width = push_width_of(token.text)) {
-            const Token& imm = tokens[++i];
-            code.push_back(static_cast<std::uint8_t>(0x5f + *width));
-            append(code, parse_immediate(imm, *width));
-            continue;
-        }
-        code.push_back(*simple_opcode(token.text));
+        const std::uint8_t byte = *opcode_of(token.text);
+        code.push_back(byte);
+        const auto width = static_cast<std::size_t>(kOps[byte].immediate);
+        if (width > 0) append(code, parse_immediate(tokens[++i], width));
     }
 
     if (diagnostics != nullptr) {

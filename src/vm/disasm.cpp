@@ -18,34 +18,24 @@ std::size_t render_insn(std::ostringstream& out, BytesView code,
     out.fill('0');
     out << std::hex << pc << std::dec << "  ";
 
-    if (is_push(byte)) {
-        const std::size_t width = static_cast<std::size_t>(push_width(byte));
-        out << "PUSH" << width << " 0x";
-        for (std::size_t i = 0; i < width; ++i) {
-            if (pc + 1 + i < code.size()) {
-                const std::uint8_t imm = code[pc + 1 + i];
-                out << to_hex(BytesView{&imm, 1});
-            } else {
-                out << "??";  // truncated immediate
-            }
-        }
-        return 1 + width;
+    const OpInfo& info = kOps[byte];
+    if (!info.defined()) {
+        out << "INVALID(0x" << to_hex(BytesView{&byte, 1}) << ")";
+        return 1;
     }
-    if (byte >= 0x80 && byte <= 0x8f) {
-        out << "DUP" << (byte - 0x7f);
-    } else if (byte >= 0x90 && byte <= 0x9f) {
-        out << "SWAP" << (byte - 0x8f);
-    } else if (byte >= 0xa0 && byte <= 0xa4) {
-        out << "LOG" << (byte - 0xa0);
-    } else {
-        const std::string_view name = op_name(byte);
-        if (name.empty()) {
-            out << "INVALID(0x" << to_hex(BytesView{&byte, 1}) << ")";
+    out << mnemonic(byte);
+    const auto width = static_cast<std::size_t>(info.immediate);
+    if (width == 0) return 1;
+    out << " 0x";
+    for (std::size_t i = 0; i < width; ++i) {
+        if (pc + 1 + i < code.size()) {
+            const std::uint8_t imm = code[pc + 1 + i];
+            out << to_hex(BytesView{&imm, 1});
         } else {
-            out << name;
+            out << "??";  // truncated immediate
         }
     }
-    return 1;
+    return 1 + width;
 }
 
 void render_offset(std::ostringstream& out, std::size_t offset) {

@@ -19,7 +19,8 @@ struct Abort {
 struct Machine {
     const Bytes& code;
     const CallContext& ctx;
-    WorldState& state;
+    const WorldState& state;
+    AccountStorage& writes;  // the call's storage writes; a zero value clears
     const chain::GasSchedule& gas_table;
     const VmLimits& limits;
 
@@ -75,6 +76,13 @@ struct Machine {
         std::copy(be.data.begin(), be.data.end(), memory.begin() + offset);
     }
 
+    /// Storage read through the call's pending writes.
+    U256 sload(const U256& key) const {
+        const auto it = writes.find(key);
+        return it != writes.end() ? it->second
+                                  : state.storage_load(ctx.contract, key);
+    }
+
     U256 calldata_word(std::size_t offset) const {
         Bytes word(32, 0);
         for (std::size_t i = 0; i < 32; ++i) {
@@ -90,57 +98,14 @@ U256 bool_word(bool v) { return v ? U256{1} : U256{}; }
 
 }  // namespace
 
-std::string_view op_name(std::uint8_t byte) {
-    switch (static_cast<Op>(byte)) {
-        case Op::STOP: return "STOP";
-        case Op::ADD: return "ADD";
-        case Op::MUL: return "MUL";
-        case Op::SUB: return "SUB";
-        case Op::DIV: return "DIV";
-        case Op::MOD: return "MOD";
-        case Op::LT: return "LT";
-        case Op::GT: return "GT";
-        case Op::EQ: return "EQ";
-        case Op::ISZERO: return "ISZERO";
-        case Op::AND: return "AND";
-        case Op::OR: return "OR";
-        case Op::XOR: return "XOR";
-        case Op::NOT: return "NOT";
-        case Op::SHL: return "SHL";
-        case Op::SHR: return "SHR";
-        case Op::SHA3: return "SHA3";
-        case Op::CALLER: return "CALLER";
-        case Op::CALLDATALOAD: return "CALLDATALOAD";
-        case Op::CALLDATASIZE: return "CALLDATASIZE";
-        case Op::CALLDATACOPY: return "CALLDATACOPY";
-        case Op::TIMESTAMP: return "TIMESTAMP";
-        case Op::NUMBER: return "NUMBER";
-        case Op::POP: return "POP";
-        case Op::MLOAD: return "MLOAD";
-        case Op::MSTORE: return "MSTORE";
-        case Op::SLOAD: return "SLOAD";
-        case Op::SSTORE: return "SSTORE";
-        case Op::JUMP: return "JUMP";
-        case Op::JUMPI: return "JUMPI";
-        case Op::PC: return "PC";
-        case Op::GAS: return "GAS";
-        case Op::JUMPDEST: return "JUMPDEST";
-        case Op::RETURN: return "RETURN";
-        case Op::REVERT: return "REVERT";
-        default: break;
-    }
-    if (is_push(byte)) return "PUSH";
-    if (byte >= 0x80 && byte <= 0x8f) return "DUP";
-    if (byte >= 0x90 && byte <= 0x9f) return "SWAP";
-    if (byte >= 0xa0 && byte <= 0xa4) return "LOG";
-    return {};
-}
-
 CallResult Vm::call(WorldState& state, const CallContext& ctx) const {
-    const AccountStorage snapshot = state.storage_snapshot(ctx.contract);
-    CallResult result = execute(state, ctx);
-    if (!result.success) {
-        state.restore_storage(ctx.contract, std::move(snapshot));
+    AccountStorage writes;
+    CallResult result = execute(state, ctx, writes);
+    if (result.success) {
+        for (const auto& [key, value] : writes) {
+            state.storage_store(ctx.contract, key, value);
+        }
+    } else {
         result.logs.clear();
         result.gas_used = ctx.gas_limit;  // failure consumes the budget
     }
@@ -149,11 +114,12 @@ CallResult Vm::call(WorldState& state, const CallContext& ctx) const {
 
 CallResult Vm::static_call(const WorldState& state,
                            const CallContext& ctx) const {
-    WorldState scratch = state;  // storage copies are small (metadata only)
-    return execute(scratch, ctx);
+    AccountStorage writes;  // dropped: a view call never mutates state
+    return execute(state, ctx, writes);
 }
 
-CallResult Vm::execute(WorldState& state, const CallContext& ctx) const {
+CallResult Vm::execute(const WorldState& state, const CallContext& ctx,
+                       AccountStorage& writes) const {
     CallResult result;
     if (!state.has_contract(ctx.contract)) {
         result.error = "no code at target address";
@@ -167,160 +133,97 @@ CallResult Vm::execute(WorldState& state, const CallContext& ctx) const {
         cache_->get(state.code_hash_at(ctx.contract), code);
     const std::vector<bool>& jumpdest = analysis->jumpdest;
 
-    Machine m{code, ctx, state, gas_, limits_, {}, {}, {}, ctx.gas_limit, 0};
+    Machine m{code, ctx, state, writes, gas_, limits_, {}, {}, {},
+              ctx.gas_limit, 0};
 
     try {
         while (m.pc < code.size()) {
             const std::uint8_t byte = code[m.pc];
-            const Op op = static_cast<Op>(byte);
+            const OpInfo& info = kOps[byte];
+            if (!info.defined()) {
+                throw Abort{"invalid opcode 0x" + to_hex(BytesView{&byte, 1})};
+            }
+            m.charge(static_gas(info, gas_));
 
-            if (is_push(byte)) {
-                m.charge(gas_.vm_base);
-                const std::size_t width =
-                    static_cast<std::size_t>(push_width(byte));
-                if (m.pc + width >= code.size() + 1) {
-                    throw Abort{"push extends past end of code"};
-                }
-                Bytes imm(width, 0);
-                for (std::size_t i = 0; i < width; ++i) {
-                    if (m.pc + 1 + i < code.size()) imm[i] = code[m.pc + 1 + i];
-                }
-                m.push(U256::from_be_bytes(imm));
-                m.pc += 1 + width;
-                continue;
-            }
-            if (byte >= 0x80 && byte <= 0x8f) {  // DUPn
-                m.charge(gas_.vm_base);
-                const std::size_t n = byte - 0x7f;
-                if (m.stack.size() < n) throw Abort{"stack underflow"};
-                m.push(m.stack[m.stack.size() - n]);
-                ++m.pc;
-                continue;
-            }
-            if (byte >= 0x90 && byte <= 0x9f) {  // SWAPn
-                m.charge(gas_.vm_base);
-                const std::size_t n = byte - 0x8f;
-                if (m.stack.size() < n + 1) throw Abort{"stack underflow"};
-                std::swap(m.stack.back(), m.stack[m.stack.size() - 1 - n]);
-                ++m.pc;
-                continue;
-            }
-            if (byte >= 0xa0 && byte <= 0xa4) {  // LOGn
-                const std::size_t topic_count = byte - 0xa0;
-                const std::size_t offset =
-                    m.pop_size(limits_.max_memory, "log offset");
-                const std::size_t size =
-                    m.pop_size(limits_.max_memory, "log size");
-                m.ensure_memory(offset + size);
-                chain::LogEntry log;
-                log.address = ctx.contract;
-                for (std::size_t t = 0; t < topic_count; ++t) {
-                    log.topics.push_back(m.pop().to_hash());
-                }
-                log.data.assign(m.memory.begin() + offset,
-                                m.memory.begin() + offset + size);
-                m.charge(gas_.vm_log_base + gas_.vm_log_topic * topic_count +
-                         gas_.vm_log_data_byte * size);
-                m.logs.push_back(std::move(log));
-                ++m.pc;
-                continue;
-            }
-
-            switch (op) {
+            switch (info.op) {
                 case Op::STOP:
                     result.success = true;
                     result.logs = std::move(m.logs);
                     result.gas_used = ctx.gas_limit - m.gas_left;
                     return result;
                 case Op::ADD: {
-                    m.charge(gas_.vm_base);
                     const U256 a = m.pop();
                     const U256 b = m.pop();
                     m.push(crypto::add(a, b));
                     break;
                 }
                 case Op::MUL: {
-                    m.charge(gas_.vm_low);
                     const U256 a = m.pop();
                     const U256 b = m.pop();
                     m.push(crypto::mul(a, b));
                     break;
                 }
                 case Op::SUB: {
-                    m.charge(gas_.vm_base);
                     const U256 a = m.pop();
                     const U256 b = m.pop();
                     m.push(crypto::sub(a, b));
                     break;
                 }
                 case Op::DIV: {
-                    m.charge(gas_.vm_low);
                     const U256 a = m.pop();
                     const U256 b = m.pop();
                     m.push(crypto::divmod(a, b).quotient);
                     break;
                 }
                 case Op::MOD: {
-                    m.charge(gas_.vm_low);
                     const U256 a = m.pop();
                     const U256 b = m.pop();
                     m.push(crypto::divmod(a, b).remainder);
                     break;
                 }
                 case Op::LT: {
-                    m.charge(gas_.vm_base);
                     const U256 a = m.pop();
                     const U256 b = m.pop();
                     m.push(bool_word(a < b));
                     break;
                 }
                 case Op::GT: {
-                    m.charge(gas_.vm_base);
                     const U256 a = m.pop();
                     const U256 b = m.pop();
                     m.push(bool_word(a > b));
                     break;
                 }
                 case Op::EQ: {
-                    m.charge(gas_.vm_base);
                     const U256 a = m.pop();
                     const U256 b = m.pop();
                     m.push(bool_word(a == b));
                     break;
                 }
-                case Op::ISZERO: {
-                    m.charge(gas_.vm_base);
+                case Op::ISZERO:
                     m.push(bool_word(m.pop().is_zero()));
                     break;
-                }
                 case Op::AND: {
-                    m.charge(gas_.vm_base);
                     const U256 a = m.pop();
                     const U256 b = m.pop();
                     m.push(crypto::bit_and(a, b));
                     break;
                 }
                 case Op::OR: {
-                    m.charge(gas_.vm_base);
                     const U256 a = m.pop();
                     const U256 b = m.pop();
                     m.push(crypto::bit_or(a, b));
                     break;
                 }
                 case Op::XOR: {
-                    m.charge(gas_.vm_base);
                     const U256 a = m.pop();
                     const U256 b = m.pop();
                     m.push(crypto::bit_xor(a, b));
                     break;
                 }
-                case Op::NOT: {
-                    m.charge(gas_.vm_base);
+                case Op::NOT:
                     m.push(crypto::bit_not(m.pop()));
                     break;
-                }
                 case Op::SHL: {
-                    m.charge(gas_.vm_base);
                     const U256 shift = m.pop();
                     const U256 value = m.pop();
                     m.push(shift.bit_length() > 9
@@ -330,7 +233,6 @@ CallResult Vm::execute(WorldState& state, const CallContext& ctx) const {
                     break;
                 }
                 case Op::SHR: {
-                    m.charge(gas_.vm_base);
                     const U256 shift = m.pop();
                     const U256 value = m.pop();
                     m.push(shift.bit_length() > 9
@@ -345,15 +247,13 @@ CallResult Vm::execute(WorldState& state, const CallContext& ctx) const {
                     const std::size_t size =
                         m.pop_size(limits_.max_memory, "sha3 size");
                     m.ensure_memory(offset + size);
-                    m.charge(gas_.vm_sha3_base +
-                             gas_.vm_sha3_word * ((size + 31) / 32));
+                    m.charge(gas_.vm_sha3_word * ((size + 31) / 32));
                     const Hash32 digest = crypto::keccak256(
                         BytesView{m.memory.data() + offset, size});
                     m.push(U256::from_hash(digest));
                     break;
                 }
                 case Op::CALLER: {
-                    m.charge(gas_.vm_base);
                     Bytes padded(32, 0);
                     std::copy(ctx.caller.data.begin(), ctx.caller.data.end(),
                               padded.begin() + 12);
@@ -361,7 +261,6 @@ CallResult Vm::execute(WorldState& state, const CallContext& ctx) const {
                     break;
                 }
                 case Op::CALLDATALOAD: {
-                    m.charge(gas_.vm_base);
                     const std::size_t offset = m.pop_size(
                         std::max(ctx.calldata.size(), std::size_t{1}) + 32,
                         "calldata offset");
@@ -369,7 +268,6 @@ CallResult Vm::execute(WorldState& state, const CallContext& ctx) const {
                     break;
                 }
                 case Op::CALLDATASIZE:
-                    m.charge(gas_.vm_base);
                     m.push(U256{ctx.calldata.size()});
                     break;
                 case Op::CALLDATACOPY: {
@@ -380,8 +278,7 @@ CallResult Vm::execute(WorldState& state, const CallContext& ctx) const {
                     const std::size_t size =
                         m.pop_size(limits_.max_memory, "copy size");
                     m.ensure_memory(mem_offset + size);
-                    m.charge(gas_.vm_base +
-                             gas_.vm_memory_word * ((size + 31) / 32));
+                    m.charge(gas_.vm_memory_word * ((size + 31) / 32));
                     for (std::size_t i = 0; i < size; ++i) {
                         m.memory[mem_offset + i] =
                             data_offset + i < ctx.calldata.size()
@@ -391,51 +288,42 @@ CallResult Vm::execute(WorldState& state, const CallContext& ctx) const {
                     break;
                 }
                 case Op::TIMESTAMP:
-                    m.charge(gas_.vm_base);
                     m.push(U256{ctx.timestamp_ms});
                     break;
                 case Op::NUMBER:
-                    m.charge(gas_.vm_base);
                     m.push(U256{ctx.block_number});
                     break;
                 case Op::POP:
-                    m.charge(gas_.vm_base);
                     (void)m.pop();
                     break;
                 case Op::MLOAD: {
-                    m.charge(gas_.vm_base);
                     const std::size_t offset =
                         m.pop_size(limits_.max_memory, "mload offset");
                     m.push(m.mload(offset));
                     break;
                 }
                 case Op::MSTORE: {
-                    m.charge(gas_.vm_base);
                     const std::size_t offset =
                         m.pop_size(limits_.max_memory, "mstore offset");
                     const U256 value = m.pop();
                     m.mstore(offset, value);
                     break;
                 }
-                case Op::SLOAD: {
-                    m.charge(gas_.vm_sload);
-                    const U256 key = m.pop();
-                    m.push(state.storage_load(ctx.contract, key));
+                case Op::SLOAD:
+                    m.push(m.sload(m.pop()));
                     break;
-                }
                 case Op::SSTORE: {
                     const U256 key = m.pop();
                     const U256 value = m.pop();
-                    const bool was_zero =
-                        state.storage_load(ctx.contract, key).is_zero();
-                    m.charge(was_zero && !value.is_zero()
-                                 ? gas_.vm_sstore_set
-                                 : gas_.vm_sstore_reset);
-                    state.storage_store(ctx.contract, key, value);
+                    const std::uint64_t price =
+                        m.sload(key).is_zero() && !value.is_zero()
+                            ? gas_.vm_sstore_set
+                            : gas_.vm_sstore_reset;
+                    m.charge(price - static_gas(info, gas_));
+                    m.writes[key] = value;
                     break;
                 }
                 case Op::JUMP: {
-                    m.charge(gas_.vm_mid);
                     const std::size_t dest =
                         m.pop_size(code.size(), "jump dest");
                     if (dest >= code.size() || !jumpdest[dest]) {
@@ -445,7 +333,6 @@ CallResult Vm::execute(WorldState& state, const CallContext& ctx) const {
                     continue;
                 }
                 case Op::JUMPI: {
-                    m.charge(gas_.vm_mid);
                     const std::size_t dest =
                         m.pop_size(code.size(), "jump dest");
                     const U256 cond = m.pop();
@@ -459,16 +346,57 @@ CallResult Vm::execute(WorldState& state, const CallContext& ctx) const {
                     break;
                 }
                 case Op::PC:
-                    m.charge(gas_.vm_base);
                     m.push(U256{m.pc});
                     break;
                 case Op::GAS:
-                    m.charge(gas_.vm_base);
                     m.push(U256{m.gas_left});
                     break;
                 case Op::JUMPDEST:
-                    m.charge(gas_.vm_base);
                     break;
+                case Op::PUSH1: {
+                    const auto width = static_cast<std::size_t>(info.immediate);
+                    if (m.pc + width >= code.size() + 1) {
+                        throw Abort{"push extends past end of code"};
+                    }
+                    Bytes imm(width, 0);
+                    for (std::size_t i = 0; i < width; ++i) {
+                        if (m.pc + 1 + i < code.size()) {
+                            imm[i] = code[m.pc + 1 + i];
+                        }
+                    }
+                    m.push(U256::from_be_bytes(imm));
+                    m.pc += width;
+                    break;
+                }
+                case Op::DUP1: {
+                    const auto n = static_cast<std::size_t>(info.number);
+                    if (m.stack.size() < n) throw Abort{"stack underflow"};
+                    m.push(m.stack[m.stack.size() - n]);
+                    break;
+                }
+                case Op::SWAP1: {
+                    const auto n = static_cast<std::size_t>(info.number);
+                    if (m.stack.size() < n + 1) throw Abort{"stack underflow"};
+                    std::swap(m.stack.back(), m.stack[m.stack.size() - 1 - n]);
+                    break;
+                }
+                case Op::LOG0: {
+                    const std::size_t offset =
+                        m.pop_size(limits_.max_memory, "log offset");
+                    const std::size_t size =
+                        m.pop_size(limits_.max_memory, "log size");
+                    m.ensure_memory(offset + size);
+                    chain::LogEntry log;
+                    log.address = ctx.contract;
+                    for (int t = 0; t < info.number; ++t) {
+                        log.topics.push_back(m.pop().to_hash());
+                    }
+                    log.data.assign(m.memory.begin() + offset,
+                                    m.memory.begin() + offset + size);
+                    m.charge(gas_.vm_log_data_byte * size);
+                    m.logs.push_back(std::move(log));
+                    break;
+                }
                 case Op::RETURN: {
                     const std::size_t offset =
                         m.pop_size(limits_.max_memory, "return offset");
@@ -496,9 +424,6 @@ CallResult Vm::execute(WorldState& state, const CallContext& ctx) const {
                     result.gas_used = ctx.gas_limit - m.gas_left;
                     return result;
                 }
-                default:
-                    throw Abort{"invalid opcode 0x" +
-                                to_hex(BytesView{&byte, 1})};
             }
             ++m.pc;
         }

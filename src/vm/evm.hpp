@@ -2,7 +2,7 @@
 // opcode subset in opcodes.hpp against WorldState storage.
 //
 // Semantics follow the EVM where implemented (stack order, zero-division
-// rules, JUMPDEST validation, revert-on-failure with storage rollback). The
+// rules, JUMPDEST validation, a failed call's storage writes dropped). The
 // one documented simplification: memory expansion cost is linear per 32-byte
 // word rather than quadratic.
 #pragma once
@@ -57,12 +57,13 @@ public:
                        : std::make_shared<AnalysisCache>(gas,
                                                          limits.max_stack)) {}
 
-    /// Executes the contract installed at `ctx.contract`. On failure the
-    /// contract's storage is rolled back and all gas is consumed.
+    /// Executes the contract installed at `ctx.contract`. The call's
+    /// storage writes reach `state` only when it succeeds; on failure all
+    /// gas is consumed.
     CallResult call(WorldState& state, const CallContext& ctx) const;
 
-    /// Read-only call: storage mutations are always rolled back (web3
-    /// `eth_call` equivalent, used by the FL layer for view functions).
+    /// Read-only call: storage writes are always dropped (web3 `eth_call`
+    /// equivalent, used by the FL layer for view functions).
     CallResult static_call(const WorldState& state,
                            const CallContext& ctx) const;
 
@@ -71,7 +72,10 @@ public:
     }
 
 private:
-    CallResult execute(WorldState& state, const CallContext& ctx) const;
+    /// Runs the call against `state` without touching it: SLOAD and
+    /// SSTORE go through `writes`, which the caller applies or drops.
+    CallResult execute(const WorldState& state, const CallContext& ctx,
+                       AccountStorage& writes) const;
 
     chain::GasSchedule gas_;
     VmLimits limits_;

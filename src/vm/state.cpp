@@ -60,16 +60,6 @@ void WorldState::storage_store(const Address& address, const crypto::U256& key,
     accounts_[address].storage[key] = value;
 }
 
-AccountStorage WorldState::storage_snapshot(const Address& address) const {
-    const auto it = accounts_.find(address);
-    return it == accounts_.end() ? AccountStorage{} : it->second.storage;
-}
-
-void WorldState::restore_storage(const Address& address,
-                                 AccountStorage snapshot) {
-    accounts_[address].storage = std::move(snapshot);
-}
-
 Hash32 WorldState::state_root() const {
     Bytes preimage;
     for (const auto& [address, account] : accounts_) {

@@ -44,10 +44,6 @@ public:
     void storage_store(const Address& address, const crypto::U256& key,
                        const crypto::U256& value);
 
-    /// Snapshot of an account's storage (used for revert semantics).
-    [[nodiscard]] AccountStorage storage_snapshot(const Address& address) const;
-    void restore_storage(const Address& address, AccountStorage snapshot);
-
     /// Canonical commitment over all accounts (code hash + storage).
     [[nodiscard]] Hash32 state_root() const;
 

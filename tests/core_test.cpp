@@ -223,6 +223,36 @@ TEST_F(ModelStoreTest, IncompleteModelNotReady) {
     EXPECT_EQ(store.announced_publishers(2).size(), 1u);
 }
 
+TEST_F(ModelStoreTest, OutOfRangeChunkIndexKeepsModelIncomplete) {
+    node_->start();
+    // Announce 2 chunks, then store indices 0 and 7: the right count of
+    // chunks, but index 1 never arrives.
+    const std::vector<float> weights(100, 2.0f);
+    const Bytes payload = ml::serialize_weights(weights);
+    const BytesView view(payload);
+    node_->submit_tx(chain::Transaction::make_signed(
+        node_->key(), nonce_++, vm::registry_address(), 5'000'000, 1,
+        abi::publish_calldata(2, ml::weights_digest(view), 2,
+                              payload.size())));
+    node_->submit_tx(chain::Transaction::make_signed(
+        node_->key(), nonce_++, vm::registry_address(), 5'000'000, 1,
+        abi::chunk_calldata(2, 0, view.subspan(0, 200))));
+    node_->submit_tx(chain::Transaction::make_signed(
+        node_->key(), nonce_++, vm::registry_address(), 5'000'000, 1,
+        abi::chunk_calldata(2, 7, view.subspan(200))));
+    transport_.run_until(net::seconds(60));
+
+    ModelStore store;
+    store.sync(node_->chain());
+    const PublishedModel* model = store.find(2, node_->address());
+    ASSERT_NE(model, nullptr);
+    ASSERT_EQ(model->chunks.size(), 2u);
+    EXPECT_FALSE(model->complete());
+    EXPECT_EQ(model->completed_at, net::SimTime{0});
+    EXPECT_TRUE(store.ready_publishers(2).empty());
+    EXPECT_EQ(store.latest_complete(node_->address(), 3), nullptr);
+}
+
 // ------------------------------------------------------------------- Audit
 
 TEST_F(ModelStoreTest, AuditProofRoundTrip) {

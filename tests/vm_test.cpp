@@ -32,13 +32,14 @@ Address caller_address() {
     return a;
 }
 
-/// Assembles `source`, deploys it and runs it with the given calldata.
-CallResult run(std::string_view source, Bytes calldata = {},
-               WorldState* external_state = nullptr) {
+/// Deploys `code` (unless `external_state` already holds the contract) and
+/// runs it with the given calldata.
+CallResult run_code(const Bytes& code, Bytes calldata = {},
+                    WorldState* external_state = nullptr) {
     WorldState local;
     WorldState& state = external_state ? *external_state : local;
     if (!state.has_contract(contract_address())) {
-        state.deploy(contract_address(), assemble(source));
+        state.deploy(contract_address(), code);
     }
     Vm vm;
     CallContext ctx;
@@ -49,6 +50,12 @@ CallResult run(std::string_view source, Bytes calldata = {},
     ctx.block_number = 7;
     ctx.timestamp_ms = 123'456;
     return vm.call(state, ctx);
+}
+
+/// Assembles `source` and runs it like `run_code`.
+CallResult run(std::string_view source, Bytes calldata = {},
+               WorldState* external_state = nullptr) {
+    return run_code(assemble(source), std::move(calldata), external_state);
 }
 
 U256 word_of(const Bytes& data) { return U256::from_be_bytes(data); }
@@ -115,6 +122,14 @@ TEST(Assembler, DupSwapLogVariants) {
     const Bytes code = assemble("DUP1 DUP16 SWAP1 SWAP16 LOG0 LOG4");
     const Bytes expected{0x80, 0x8f, 0x90, 0x9f, 0xa0, 0xa4};
     EXPECT_EQ(code, expected);
+}
+
+TEST(Assembler, RejectsLeadingZeroSpellings) {
+    // The assembler accepts exactly the opcode table's mnemonics.
+    EXPECT_THROW(assemble("DUP01"), Error);
+    EXPECT_THROW(assemble("SWAP01"), Error);
+    EXPECT_THROW(assemble("PUSH01 7"), Error);
+    EXPECT_THROW(assemble("LOG00"), Error);
 }
 
 // ------------------------------------------------------------ Interpreter
@@ -400,6 +415,97 @@ TEST(Disasm, RegistryContractListsAllEntryPoints) {
     EXPECT_NE(listing.find("SSTORE"), std::string::npos);
     EXPECT_NE(listing.find("LOG3"), std::string::npos);
     EXPECT_NE(listing.find("REVERT"), std::string::npos);
+}
+
+// ------------------------------------------------------------ Opcode table
+
+/// Name of the first fatal diagnostic, or "" when `code` is accepted.
+std::string first_fatal_name(const Bytes& code) {
+    const CodeAnalysis analysis = analyze(code);
+    const Diagnostic* fatal = analysis.first_fatal();
+    return fatal ? fatal->name : std::string{};
+}
+
+TEST(OpcodeTable, StackEffectsMatchTheInterpreter) {
+    // Every defined opcode that neither jumps nor halts, fed by zero-valued
+    // pushes and drained by POPs. The analyzer reads require and delta
+    // from the table; the interpreter's cases pop and push on their own,
+    // so this pins each case to its row.
+    int checked = 0;
+    for (std::size_t b = 0; b < kOps.size(); ++b) {
+        const auto byte = static_cast<std::uint8_t>(b);
+        const OpInfo& info = kOps[byte];
+        if (!info.defined() || info.op == Op::STOP || info.op == Op::JUMP ||
+            info.op == Op::JUMPI || info.op == Op::RETURN ||
+            info.op == Op::REVERT) {
+            continue;
+        }
+        SCOPED_TRACE(mnemonic(byte));
+        ++checked;
+        // `pushes` PUSH1 0x00s, the opcode (zero immediate), `pops` POPs.
+        const auto program = [&](int pushes, int pops) {
+            Bytes code;
+            for (int i = 0; i < pushes; ++i) append(code, Bytes{0x60, 0x00});
+            code.push_back(byte);
+            code.resize(code.size() + static_cast<std::size_t>(info.immediate),
+                        0x00);
+            code.resize(code.size() + static_cast<std::size_t>(pops),
+                        static_cast<std::uint8_t>(Op::POP));
+            return code;
+        };
+
+        const Bytes fed = program(info.require, 0);
+        EXPECT_EQ(first_fatal_name(fed), "");
+        const CallResult ran = run_code(fed);
+        EXPECT_TRUE(ran.success) << ran.error;
+
+        if (info.require >= 1) {
+            const Bytes starved = program(info.require - 1, 0);
+            EXPECT_EQ(first_fatal_name(starved), "stack-underflow");
+            EXPECT_EQ(run_code(starved).error, "stack underflow");
+        }
+
+        // The opcode leaves require + delta values: that many POPs run,
+        // and one more fails on the last POP.
+        const int left = info.require + info.delta;
+        const Bytes drained = program(info.require, left);
+        EXPECT_EQ(first_fatal_name(drained), "");
+        EXPECT_TRUE(run_code(drained).success);
+        const Bytes overdrawn = program(info.require, left + 1);
+        const CodeAnalysis analysis = analyze(overdrawn);
+        ASSERT_NE(analysis.first_fatal(), nullptr);
+        EXPECT_EQ(analysis.first_fatal()->name, "stack-underflow");
+        EXPECT_EQ(analysis.first_fatal()->offset, overdrawn.size() - 1);
+        EXPECT_EQ(run_code(overdrawn).error, "stack underflow");
+    }
+    EXPECT_EQ(checked, 99);  // 104 defined opcodes less the 5 jumps/halts
+}
+
+TEST(OpcodeTable, MnemonicsAssembleBackToTheirBytes) {
+    int defined = 0;
+    for (std::size_t b = 0; b < kOps.size(); ++b) {
+        const auto byte = static_cast<std::uint8_t>(b);
+        const OpInfo& info = kOps[byte];
+        if (!info.defined()) {
+            EXPECT_EQ(mnemonic(byte), "");
+            continue;
+        }
+        ++defined;
+        const std::string source =
+            mnemonic(byte) + (info.immediate > 0 ? " 0" : "");
+        Bytes expected{byte};
+        expected.resize(1 + static_cast<std::size_t>(info.immediate), 0x00);
+        EXPECT_EQ(assemble(source), expected) << source;
+    }
+    // 35 single opcodes, PUSH1..32, DUP1..16, SWAP1..16, LOG0..4.
+    EXPECT_EQ(defined, 104);
+}
+
+TEST(OpcodeTable, RegistryBytecodeIsUnchanged) {
+    const Bytes code = registry_bytecode();
+    EXPECT_EQ(code.size(), 494u);
+    EXPECT_EQ(crypto::keccak256(code).hex(),
+              "249793810cfd7e8ef67f6914813ac871e969ba6db407b5d30af48c8b71c15c75");
 }
 
 // ------------------------------------------------------------- WorldState
@@ -689,6 +795,45 @@ TEST(Executor, InstallsValidCreationCodeAtDerivedAddress) {
     ASSERT_TRUE(call.success) << call.error;
     ASSERT_EQ(call.return_data.size(), 32u);
     EXPECT_EQ(call.return_data[31], 0x2a);
+}
+
+TEST(Executor, SiblingBlocksWithDifferentTimestampsKeepTheirOwnState) {
+    // Two children of genesis with the same call, differing only in their
+    // timestamp, which the contract stores at slot 0.
+    const chain::BlockHeader genesis;
+    WorldState genesis_state;
+    genesis_state.deploy(contract_address(),
+                         assemble("TIMESTAMP PUSH1 0x00 SSTORE STOP"));
+    const auto key = crypto::KeyPair::from_seed(9);
+    const auto sibling = [&](std::uint64_t timestamp_ms) {
+        chain::Block block;
+        block.header.number = 1;
+        block.header.parent_hash = genesis.hash();
+        block.header.timestamp_ms = timestamp_ms;
+        block.transactions.push_back(chain::Transaction::make_signed(
+            key, 0, contract_address(), 1'000'000, 1, {}));
+        block.header.tx_root = block.compute_tx_root();
+        return block;
+    };
+    const chain::Block early = sibling(2'000);
+    const chain::Block late = sibling(3'000);
+
+    node::VmBlockExecutor both;
+    both.register_genesis(genesis, genesis_state);
+    (void)both.execute(genesis, early);
+    const chain::ExecutionResult late_after_early = both.execute(genesis, late);
+
+    node::VmBlockExecutor alone;
+    alone.register_genesis(genesis, genesis_state);
+    const chain::ExecutionResult late_only = alone.execute(genesis, late);
+
+    EXPECT_EQ(late_after_early.state_root, late_only.state_root);
+    EXPECT_EQ(both.state_after(early.header)
+                  .storage_load(contract_address(), U256{0}),
+              U256{2'000});
+    EXPECT_EQ(both.state_after(late.header)
+                  .storage_load(contract_address(), U256{0}),
+              U256{3'000});
 }
 
 }  // namespace
