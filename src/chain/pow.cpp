@@ -9,9 +9,16 @@ namespace bcfl::chain {
 
 namespace {
 
+/// keccak256(seal_hash || big-endian nonce). Called once per nonce attempt,
+/// so the nonce goes through a stack buffer, not a heap `Bytes`.
 crypto::U256 pow_value(const Hash32& seal_hash, std::uint64_t nonce) {
-    const Bytes nonce_bytes = be_bytes(nonce);
-    const Hash32 digest = crypto::keccak256(seal_hash.view(), nonce_bytes);
+    std::uint8_t nonce_be[8] = {};
+    for (int i = 7; i >= 0; --i) {
+        nonce_be[i] = static_cast<std::uint8_t>(nonce);
+        nonce >>= 8;
+    }
+    const Hash32 digest = crypto::keccak256(
+        seal_hash.view(), BytesView{nonce_be, sizeof(nonce_be)});
     return crypto::U256::from_hash(digest);
 }
 

@@ -8,7 +8,15 @@
 // The signature scheme is Schnorr (BIP340-flavoured: deterministic nonce,
 // binding challenge over R, P and the message) rather than ECDSA; it is
 // simpler to implement correctly and offers the same provenance guarantee.
+//
+// A verify is one joint wNAF multiplication, s·G - e·P, compared with R in
+// Jacobian coordinates, so it inverts nothing; signing and key derivation
+// add from the same table of odd multiples of G, built once on first use.
+// Sign and verify are variable-time: the threat model is non-repudiation,
+// not side channels.
 #pragma once
+
+#include <span>
 
 #include "common/bytes.hpp"
 #include "crypto/u256.hpp"
@@ -29,7 +37,10 @@ struct Point {
 [[nodiscard]] const U256& group_order();   // n
 [[nodiscard]] const Point& generator();    // G
 
-/// Field multiplication with the fast secp256k1 reduction (p = 2^256 - c).
+/// Field arithmetic mod p, reduced with p = 2^256 - 0x1000003d1. fe_mul and
+/// fe_inv take any 256-bit input and return a value below p. fe_add and
+/// fe_sub equal add_mod and sub_mod with modulus p bit for bit, so inputs
+/// below p give a result below p.
 [[nodiscard]] U256 fe_mul(const U256& a, const U256& b);
 [[nodiscard]] U256 fe_add(const U256& a, const U256& b);
 [[nodiscard]] U256 fe_sub(const U256& a, const U256& b);
@@ -40,6 +51,12 @@ struct Point {
 [[nodiscard]] Point point_double(const Point& a);
 [[nodiscard]] Point scalar_mul(const U256& k, const Point& p);
 [[nodiscard]] bool on_curve(const Point& p);
+
+/// a·G + b·P in the one joint pass that `verify` runs (Strauss–Shamir over
+/// wNAF digits), converted to affine.
+[[nodiscard]] Point joint_mul(const U256& a, const U256& b, const Point& p);
+/// The affine odd multiples G, 3G, ..., 127G that the joint pass adds from.
+[[nodiscard]] std::span<const Point> generator_multiples();
 
 struct Signature {
     U256 rx;  // R.x

@@ -87,6 +87,9 @@ void Sha256::process_block(const std::uint8_t* block) {
 }
 
 void Sha256::update(BytesView data) {
+    // An empty view may carry a null pointer (an empty Bytes), which
+    // memcpy must not see even for zero bytes.
+    if (data.empty()) return;
     total_bits_ += static_cast<std::uint64_t>(data.size()) * 8;
     std::size_t offset = 0;
     if (buffered_ > 0) {

@@ -38,7 +38,8 @@ struct U256 {
     [[nodiscard]] bool bit(int index) const {
         return (limb[index >> 6] >> (index & 63)) & 1;
     }
-    /// Index of the highest set bit, or -1 for zero.
+    /// Number of significant bits (index of the highest set bit plus one),
+    /// or 0 for zero.
     [[nodiscard]] int bit_length() const;
 
     [[nodiscard]] std::uint64_t low64() const { return limb[0]; }

@@ -212,6 +212,21 @@ TEST(Pow, MineAndCheck) {
     EXPECT_FALSE(check_pow(h) && (h.pow_nonce = *nonce, false));
 }
 
+TEST(Pow, MineSealKnownAnswer) {
+    // Nonces found by the original pow_value, which hashed a heap-allocated
+    // be_bytes(nonce): the stack-buffer encoding must hash the same bytes.
+    BlockHeader h;
+    h.number = 42;
+    h.parent_hash = crypto::keccak256(str_bytes("pow-known-answer"));
+    h.difficulty = 1u << 14;
+    h.timestamp_ms = 123'456;
+    h.gas_limit = 8'000'000;
+    EXPECT_EQ(h.seal_hash().hex(),
+              "050bceec4f7fc4502dabb86f0ed40ac94de9598be29e5289a911d8cc523c07d0");
+    EXPECT_EQ(mine_seal(h, 0, 10'000'000), 5686u);
+    EXPECT_EQ(mine_seal(h, 1'000'000, 10'000'000), 1'057'605u);
+}
+
 TEST(Pow, HigherDifficultyMeansSmallerTarget) {
     EXPECT_GT(pow_target(16), pow_target(64));
     EXPECT_GT(pow_target(64), pow_target(4096));

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "core/parallel.hpp"
 #include "crypto/keccak.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/secp256k1.hpp"
@@ -11,9 +13,20 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "crypto/u256.hpp"
+#include "secp256k1_reference.hpp"
 
 namespace bcfl::crypto {
 namespace {
+
+using Ref = Secp256k1Reference;
+
+const U256 kMaxU256 = bit_not(U256{});
+
+U256 random_u256(std::uint64_t& state) {
+    U256 out;
+    for (std::uint64_t& limb : out.limb) limb = bcfl::splitmix64(state);
+    return out;
+}
 
 // ---------------------------------------------------------------- SHA-256
 
@@ -44,6 +57,13 @@ TEST(Sha256, IncrementalMatchesOneShot) {
         hasher.update(BytesView(msg).subspan(split));
         EXPECT_EQ(hasher.finalize(), sha256(msg)) << "split=" << split;
     }
+    // An empty Bytes has a null data pointer; an update with it after a
+    // partial block changes nothing (signing an empty message does this).
+    Sha256 hasher;
+    hasher.update(BytesView(msg).subspan(0, 10));
+    hasher.update(Bytes{});
+    hasher.update(BytesView(msg).subspan(10));
+    EXPECT_EQ(hasher.finalize(), sha256(msg));
 }
 
 // -------------------------------------------------------------- Keccak-256
@@ -173,6 +193,37 @@ TEST(U256, BitLength) {
 
 // -------------------------------------------------------------- secp256k1
 
+// The table of odd multiples of G is process-wide state built on first use,
+// and grid workers sign and verify at once. This suite comes first among
+// the curve tests, so its workers are the ones that race to build the
+// table; the CI tsan job runs it at BCFL_THREADS=8.
+TEST(Secp256k1Threads, SignAndVerifyConcurrently) {
+    constexpr std::size_t kSigners = 300;
+    struct Outcome {
+        Signature sig;
+        bool honest = false;
+        bool tampered = true;
+    };
+    const auto sign_and_verify = [](std::size_t i) {
+        const KeyPair kp = KeyPair::from_seed(1000 + i);
+        const Bytes msg = str_bytes("concurrent update " + std::to_string(i));
+        Outcome out;
+        out.sig = kp.sign(msg);
+        out.honest = verify(kp.public_key(), msg, out.sig);
+        out.tampered = verify(kp.public_key(), str_bytes("tampered"), out.sig);
+        return out;
+    };
+    const std::vector<Outcome> outcomes =
+        core::parallel::ordered_map<Outcome>(kSigners, sign_and_verify);
+    for (std::size_t i = 0; i < kSigners; i += 10) {
+        EXPECT_EQ(outcomes[i].sig, sign_and_verify(i).sig) << i;
+    }
+    for (const Outcome& out : outcomes) {
+        EXPECT_TRUE(out.honest);
+        EXPECT_FALSE(out.tampered);
+    }
+}
+
 TEST(Secp256k1, GeneratorOnCurve) {
     EXPECT_TRUE(on_curve(generator()));
 }
@@ -212,6 +263,253 @@ TEST(Secp256k1, KnownMultiple) {
               "0xc6047f9441ed7d6d3045406e95c07cd85c778e4b8cef3ca7abac09b95c709ee5");
     EXPECT_EQ(g2.y.hex(),
               "0x1ae168fea63dc339a3c58419466ceaeef7f632653266d0e1236431a950cfe52a");
+}
+
+// ------------------------------------- secp256k1 against the reference
+
+/// 0, 1, p-1, p and 2^256-1: both ends of the reduced range and the
+/// unreduced values a coordinate read off the wire can carry.
+std::vector<U256> field_edges() {
+    const U256& p = field_prime();
+    return {U256{}, U256{1}, sub(p, U256{1}), p, kMaxU256};
+}
+
+TEST(Secp256k1, FieldOpsMatchGenericModOps) {
+    const U256& p = field_prime();
+    std::vector<U256> values = field_edges();
+    values.reserve(values.size() + 24);
+    std::uint64_t sm = 11;
+    for (int i = 0; i < 12; ++i) values.push_back(random_u256(sm));
+    for (int i = 0; i < 12; ++i) {
+        values.push_back(divmod(random_u256(sm), p).remainder);
+    }
+    for (const U256& a : values) {
+        for (const U256& b : values) {
+            EXPECT_EQ(fe_mul(a, b), mul_mod(a, b, p)) << a.hex() << " " << b.hex();
+            EXPECT_EQ(fe_add(a, b), add_mod(a, b, p)) << a.hex() << " " << b.hex();
+            EXPECT_EQ(fe_sub(a, b), sub_mod(a, b, p)) << a.hex() << " " << b.hex();
+        }
+        EXPECT_EQ(fe_inv(a), inv_mod_prime(a, p)) << a.hex();
+    }
+}
+
+TEST(Secp256k1, GeneratorMultiplesMatchReference) {
+    const std::span<const Point> table = generator_multiples();
+    ASSERT_EQ(table.size(), 64u);
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        EXPECT_EQ(table[i], Ref::scalar_mul(U256{2 * i + 1}, Ref::generator()))
+            << "entry " << i;
+    }
+}
+
+/// On-curve points whose x (resp. y) is 1, written as 1 + p: on_curve
+/// reads coordinates mod p, so both pass it with a coordinate above p.
+Point point_with_wide_x() {
+    const U256 y{0x4218f20ae6c646b3ull, 0x63db68605822fb14ull,
+                 0x264ca8d2587fdd6full, 0xbc750d587e76a7eeull};
+    return Point{add(field_prime(), U256{1}), y, false};
+}
+Point point_with_wide_y() {
+    const U256 x{0x1fe1e5ef3fceb5c1ull, 0x35ab7741333ce5a6ull,
+                 0xe80d68167653f6b2ull, 0xb24bcbcfaaaff507ull};
+    return Point{x, add(field_prime(), U256{1}), false};
+}
+
+TEST(Secp256k1, WideCoordinatePointsAreOnCurve) {
+    EXPECT_TRUE(on_curve(point_with_wide_x()));
+    EXPECT_TRUE(on_curve(point_with_wide_y()));
+}
+
+TEST(Secp256k1, GroupOpsMatchReference) {
+    const U256& n = group_order();
+    const Point g = generator();
+    std::uint64_t sm = 5;
+    const std::vector<Point> points = {
+        g, Ref::scalar_mul(sub(n, U256{1}), g), Ref::scalar_mul(U256{7}, g),
+        Ref::scalar_mul(random_u256(sm), g), Point{}, point_with_wide_x(),
+        point_with_wide_y()};
+    const std::vector<U256> scalars = {
+        U256{}, U256{1}, U256{2}, sub(n, U256{1}), n, add(n, U256{1}),
+        shl(U256{1}, 255), kMaxU256, random_u256(sm)};
+    for (const Point& a : points) {
+        EXPECT_EQ(point_double(a), Ref::point_double(a));
+        for (const Point& b : points) {
+            EXPECT_EQ(point_add(a, b), Ref::point_add(a, b));
+        }
+        for (const U256& k : scalars) {
+            EXPECT_EQ(scalar_mul(k, a), Ref::scalar_mul(k, a)) << k.hex();
+        }
+    }
+}
+
+TEST(Secp256k1, JointMulMatchesReferenceOnChosenScalars) {
+    const U256& n = group_order();
+    const Point g = generator();
+    const Point neg_g = Ref::scalar_mul(sub(n, U256{1}), g);
+    const Point seven_g = Ref::scalar_mul(U256{7}, g);
+    std::uint64_t sm = 21;
+    const Point random_point = Ref::scalar_mul(random_u256(sm), g);
+    const U256 top = shl(U256{1}, 255);
+    const std::vector<U256> scalars = {
+        U256{},          U256{1},         U256{3},         U256{127},
+        sub(n, U256{1}), top,             sub(n, top),     add(top, U256{1}),
+        divmod(random_u256(sm), n).remainder};
+    // P = G and P = -G put the same points in both tables, so equal
+    // scalars make the two additions at the top digit coincide.
+    for (const Point& p : {g, neg_g, seven_g, random_point}) {
+        std::vector<Point> bp;
+        bp.reserve(scalars.size());
+        for (const U256& b : scalars) bp.push_back(Ref::scalar_mul(b, p));
+        for (const U256& a : scalars) {
+            const Point ag = Ref::scalar_mul(a, g);
+            for (std::size_t j = 0; j < scalars.size(); ++j) {
+                EXPECT_EQ(joint_mul(a, scalars[j], p), Ref::point_add(ag, bp[j]))
+                    << a.hex() << " " << scalars[j].hex();
+            }
+        }
+    }
+    // a·G = -b·P: the sum is infinity.
+    EXPECT_TRUE(joint_mul(sub(n, U256{21}), U256{3}, seven_g).infinity);
+    EXPECT_TRUE(joint_mul(top, top, neg_g).infinity);
+    // b·P alone, and P at infinity.
+    EXPECT_EQ(joint_mul(U256{}, U256{5}, seven_g), Ref::scalar_mul(U256{35}, g));
+    EXPECT_EQ(joint_mul(U256{5}, U256{9}, Point{}), Ref::scalar_mul(U256{5}, g));
+}
+
+TEST(Schnorr, KeysAndSignaturesMatchReference) {
+    const U256& n = group_order();
+    const Bytes msg = str_bytes("key derivation edge");
+    for (const U256& secret : {U256{}, U256{1}, sub(n, U256{1}), n,
+                               add(n, U256{1}), kMaxU256}) {
+        const KeyPair kp = KeyPair::from_secret(secret);
+        const Ref::Keys ref = Ref::from_secret(secret);
+        EXPECT_EQ(kp.secret(), ref.secret) << secret.hex();
+        EXPECT_EQ(kp.public_key(), ref.pub) << secret.hex();
+        EXPECT_EQ(kp.address(), Ref::to_address(ref.pub)) << secret.hex();
+        EXPECT_EQ(kp.sign(msg), Ref::sign(ref, msg)) << secret.hex();
+    }
+}
+
+/// Flips one bit of a signature, its public key or its message, picked by
+/// `choice`, or signs the message under another key.
+void tamper(std::uint64_t choice, unsigned bit, Point& pub, Bytes& msg,
+            Signature& sig) {
+    const U256 mask = shl(U256{1}, bit);
+    switch (choice % 6) {
+        case 0: sig.rx = bit_xor(sig.rx, mask); break;
+        case 1: sig.ry = bit_xor(sig.ry, mask); break;
+        case 2: sig.s = bit_xor(sig.s, mask); break;
+        case 3: pub.x = bit_xor(pub.x, mask); break;
+        case 4:
+            if (msg.empty()) {
+                msg.push_back(0);
+            } else {
+                msg[bit % msg.size()] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+            }
+            break;
+        default: sig = KeyPair::from_seed(bit).sign(msg); break;
+    }
+}
+
+TEST(Schnorr, VerdictsMatchReferenceOnSeededKeys) {
+    std::uint64_t sm = 2024;
+    int accepted = 0;
+    for (int i = 0; i < 2000; ++i) {
+        const KeyPair kp = KeyPair::from_secret(random_u256(sm));
+        Bytes msg(bcfl::splitmix64(sm) % 200);
+        for (std::uint8_t& byte : msg) {
+            byte = static_cast<std::uint8_t>(bcfl::splitmix64(sm));
+        }
+        const Signature sig = kp.sign(msg);
+        if (i % 8 == 0) {
+            // The reference signs slowly: compare its keys and signatures
+            // on every eighth key, its verdicts on all of them.
+            const Ref::Keys ref = Ref::from_secret(kp.secret());
+            ASSERT_EQ(kp.public_key(), ref.pub) << i;
+            ASSERT_EQ(sig, Ref::sign(ref, msg)) << i;
+        }
+        const bool honest = verify(kp.public_key(), msg, sig);
+        ASSERT_EQ(honest, Ref::verify(kp.public_key(), msg, sig)) << i;
+        accepted += honest ? 1 : 0;
+
+        Point pub = kp.public_key();
+        Bytes bad_msg = msg;
+        Signature bad = sig;
+        tamper(static_cast<std::uint64_t>(i),
+               static_cast<unsigned>(bcfl::splitmix64(sm) % 256), pub, bad_msg,
+               bad);
+        ASSERT_EQ(verify(pub, bad_msg, bad), Ref::verify(pub, bad_msg, bad))
+            << i;
+    }
+    EXPECT_EQ(accepted, 2000);
+}
+
+TEST(Schnorr, EdgeVerdictsMatchReference) {
+    const U256& p = field_prime();
+    const U256& n = group_order();
+    for (const KeyPair& kp :
+         {KeyPair::from_secret(U256{1}), KeyPair::from_secret(sub(n, U256{1})),
+          KeyPair::from_seed(77)}) {
+        for (int m = 0; m < 3; ++m) {
+            const Bytes msg = str_bytes("edge " + std::to_string(m));
+            const Signature sig = kp.sign(msg);
+            std::vector<std::pair<Point, Signature>> cases;
+            cases.reserve(13);
+            cases.emplace_back(kp.public_key(), sig);
+            for (const U256& s : {U256{}, sub(n, U256{1}), n, kMaxU256}) {
+                Signature t = sig;
+                t.s = s;
+                cases.emplace_back(kp.public_key(), t);
+            }
+            Signature off_curve = sig;  // R off the curve
+            off_curve.rx = add(off_curve.rx, U256{1});
+            Signature origin = sig;  // R = (0, 0)
+            origin.rx = U256{};
+            origin.ry = U256{};
+            Signature negated = sig;  // -R
+            negated.ry = sub(p, negated.ry);
+            Signature wide_rx = sig;  // R's coordinates above p
+            wide_rx.rx = point_with_wide_x().x;
+            wide_rx.ry = point_with_wide_x().y;
+            Signature wide_ry = sig;
+            wide_ry.rx = point_with_wide_y().x;
+            wide_ry.ry = point_with_wide_y().y;
+            for (const Signature& t : {off_curve, origin, negated, wide_rx, wide_ry}) {
+                cases.emplace_back(kp.public_key(), t);
+            }
+            // The public key's coordinates above p, and at infinity.
+            cases.emplace_back(point_with_wide_x(), sig);
+            cases.emplace_back(point_with_wide_y(), sig);
+            cases.emplace_back(Point{}, sig);
+            for (std::size_t c = 0; c < cases.size(); ++c) {
+                const auto& [pub, t] = cases[c];
+                EXPECT_EQ(verify(pub, msg, t), Ref::verify(pub, msg, t))
+                    << "case " << c << ", message " << m;
+            }
+            EXPECT_TRUE(verify(kp.public_key(), msg, sig));
+        }
+    }
+}
+
+TEST(Schnorr, VerdictsMatchReferenceForKeysGAndMinusG) {
+    // Public keys G and -G: P's table holds multiples of G, so the top
+    // digits of s and e can add the same point, or opposite points, and the
+    // coincident-operand fallback runs.
+    const U256& n = group_order();
+    for (const U256& secret : {U256{1}, sub(n, U256{1})}) {
+        const KeyPair kp = KeyPair::from_secret(secret);
+        for (int m = 0; m < 150; ++m) {
+            const Bytes msg = str_bytes("generator key " + std::to_string(m));
+            const Signature sig = kp.sign(msg);
+            EXPECT_TRUE(verify(kp.public_key(), msg, sig)) << m;
+            EXPECT_TRUE(Ref::verify(kp.public_key(), msg, sig)) << m;
+            Signature bad = sig;
+            bad.s = add_mod(bad.s, U256{static_cast<std::uint64_t>(m) + 1}, n);
+            EXPECT_EQ(verify(kp.public_key(), msg, bad),
+                      Ref::verify(kp.public_key(), msg, bad))
+                << m;
+        }
+    }
 }
 
 TEST(Schnorr, SignVerifyRoundTrip) {
