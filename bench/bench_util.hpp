@@ -39,14 +39,10 @@ inline double best_wall_ms(std::size_t reps,
     return best;
 }
 
-/// Appends one value to a determinism fingerprint at full round-trip
-/// precision. Every bench fingerprint that ci.sh diffs across
-/// BCFL_THREADS settings must go through this one formatter.
-inline void append_fingerprint(std::string& out, double value) {
-    char buffer[40];
-    std::snprintf(buffer, sizeof(buffer), "%.17g;", value);
-    out += buffer;
-}
+/// The scenario engine's fingerprint formatter (%.17g), so bench and
+/// scenario fingerprints that ci.sh diffs across BCFL_THREADS settings are
+/// spelled the same way.
+using core::append_fingerprint;
 
 inline void print_rule(std::size_t width = 100) {
     std::string line(width, '-');
@@ -58,22 +54,6 @@ inline void print_title(const std::string& title) {
     print_rule();
     std::printf("%s\n", title.c_str());
     print_rule();
-}
-
-/// Prints one table row: a label column followed by per-round values.
-inline void print_row(const std::string& label,
-                      const std::vector<double>& values) {
-    std::printf("%-14s", label.c_str());
-    for (double v : values) std::printf(" %6.4f", v);
-    std::printf("\n");
-}
-
-inline void print_round_header(const std::string& label, std::size_t rounds) {
-    std::printf("%-14s", label.c_str());
-    for (std::size_t r = 1; r <= rounds; ++r) {
-        std::printf(" %6zu", r);
-    }
-    std::printf("\n");
 }
 
 /// Writes `json` to BENCH_<name>.json in the working directory through the

@@ -532,8 +532,7 @@ void BM_ChainPerformance(benchmark::State& state) {
         // The chain sections run the deterministic discrete-event loop,
         // which is inherently single-threaded; wall time per section is
         // recorded so the event-loop cost itself is tracked cross-PR (the
-        // parallel-engine speedups live in BENCH_micro_substrates.json and
-        // BENCH_table1_fig3_vanilla_fl.json).
+        // parallel-engine speedups live in BENCH_micro_substrates.json).
 
         bench::Json throughput_points = bench::Json::array();
         if (section_enabled("throughput")) {

@@ -5,23 +5,26 @@
 // BENCH-schema JSON document per run:
 //
 //   $ ./build/examples/bcfl_scenario scenarios/paper_tradeoff.json
+//   $ ./build/examples/bcfl_scenario scenarios/paper_vanilla_simple.json
 //   $ ./build/examples/bcfl_scenario scenarios/churn.json --list
 //   $ ./build/examples/bcfl_scenario spec.json --out=/tmp/result.json
 //
 // Flags:
 //   --list        expand and print the sweep grid without running it
 //   --out=PATH    output path        [BENCH_scenario_<name>.json in CWD]
-//   --threads=N   grid fan-out width [spec "threads", else BCFL_THREADS /
-//                 hardware default]
+//   --threads=N   grid fan-out width, 0-1024 [spec "threads", else
+//                 BCFL_THREADS / hardware default]
 //
 // Output is a pure function of (spec, seed): the same spec produces
 // byte-identical JSON at any thread setting, which is what lets CI diff it
 // against bench/baselines/.
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "common/error.hpp"
+#include "core/parallel.hpp"
 #include "core/scenario.hpp"
 
 namespace {
@@ -52,13 +55,15 @@ int main(int argc, char** argv) {
         } else if (std::strncmp(arg, "--out=", 6) == 0) {
             out_path = arg + 6;
         } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            char* end = nullptr;
-            threads_flag = std::strtoull(arg + 10, &end, 10);
-            if (end == arg + 10 || *end != '\0') {
-                std::fprintf(stderr, "invalid --threads value: %s\n",
-                             arg + 10);
+            const std::optional<std::size_t> threads =
+                core::parallel::parse_thread_count(arg + 10);
+            if (!threads.has_value()) {
+                std::fprintf(stderr,
+                             "invalid --threads value: %s (want 0-%zu)\n",
+                             arg + 10, core::parallel::kMaxThreads);
                 return usage(argv[0]);
             }
+            threads_flag = *threads;
             threads_set = true;
         } else if (arg[0] == '-') {
             std::fprintf(stderr, "unknown flag: %s\n", arg);
@@ -76,10 +81,10 @@ int main(int argc, char** argv) {
         if (threads_set) spec.threads = threads_flag;
         const auto points = core::expand_grid(spec);
 
-        std::printf("scenario %s: model=%s peers=%zu rounds=%zu seed=%llu "
-                    "grid=%zu point%s\n",
-                    spec.name.c_str(), spec.model.c_str(), spec.base.peers,
-                    spec.base.rounds,
+        std::printf("scenario %s: mode=%s model=%s peers=%zu rounds=%zu "
+                    "seed=%llu grid=%zu point%s\n",
+                    spec.name.c_str(), spec.mode.c_str(), spec.model.c_str(),
+                    spec.base.peers, spec.base.rounds,
                     static_cast<unsigned long long>(spec.base.seed),
                     points.size(), points.size() == 1 ? "" : "s");
         if (list_only) {
@@ -92,12 +97,29 @@ int main(int argc, char** argv) {
         const core::JsonValue doc = core::run_scenario(spec);
 
         // One table row per point, from the document itself, so what is
-        // printed is exactly what lands in the JSON.
-        std::printf("%-44s %10s %10s %8s %9s %9s %8s\n", "point",
-                    "round (s)", "wait (s)", "models", "final acc",
-                    "dropped", "reorgs");
+        // printed is exactly what lands in the JSON. Vanilla points have no
+        // chain: their rows show only the accuracies they carry.
+        const bool vanilla = spec.mode == "vanilla";
+        if (vanilla) {
+            std::printf("%-44s %9s %9s\n", "point", "final acc", "agg. acc");
+        } else {
+            std::printf("%-44s %10s %10s %8s %9s %9s %8s\n", "point",
+                        "round (s)", "wait (s)", "models", "final acc",
+                        "dropped", "reorgs");
+        }
         for (const core::JsonValue& point :
              doc.find("points")->items("points")) {
+            if (vanilla) {
+                std::printf(
+                    "%-44s %9.4f %9.4f\n",
+                    point.find("label")->as_string("label").c_str(),
+                    point.find("final_accuracy")->as_double("final_accuracy"),
+                    point.find("aggregator_accuracy")
+                        ->items("aggregator_accuracy")
+                        .back()
+                        .as_double("aggregator_accuracy"));
+                continue;
+            }
             std::printf(
                 "%-44s %10.1f %10.1f %8.2f %9.4f %9llu %8llu\n",
                 point.find("label")->as_string("label").c_str(),

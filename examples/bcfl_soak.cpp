@@ -31,7 +31,6 @@
 
 #include "common/error.hpp"
 #include "core/parallel.hpp"
-#include "core/paper_setup.hpp"
 #include "core/scenario.hpp"
 #include "net/sim_transport.hpp"
 #include "net/tcp_transport.hpp"
@@ -108,6 +107,14 @@ int main(int argc, char** argv) {
 
     try {
         core::ScenarioSpec spec = core::load_scenario_file(spec_path);
+        if (spec.mode == "vanilla") {
+            // A vanilla spec has no chain deployment; soaking spec.base
+            // would silently run one the spec never described.
+            throw Error("bcfl_soak: \"" + spec.name +
+                        "\" is a \"mode\": \"vanilla\" spec — centralized "
+                        "FL has no deployment to soak; run it through "
+                        "bcfl_scenario");
+        }
         const std::string backend =
             transport_flag.empty() ? spec.transport : transport_flag;
         core::DecentralizedConfig config = spec.base;
@@ -127,13 +134,7 @@ int main(int argc, char** argv) {
                     config.rounds, config.wait_policy.c_str(),
                     config.aggregation.c_str());
 
-        ml::SyntheticCifarConfig data_config = spec.data;
-        data_config.clients = config.peers;
-        const ml::FederatedData data = ml::make_synthetic_cifar(data_config);
-        const fl::FlTask task =
-            spec.model == "effnet"
-                ? core::paper_effnet_task(data)
-                : core::paper_simple_task(data, spec.model_hidden);
+        const fl::FlTask task = core::make_scenario_task(spec);
 
         core::DecentralizedResult result;
         if (backend == "tcp") {

@@ -31,10 +31,11 @@
 #    roles) run over loopback TCP through bcfl_soak, gated on a completed
 #    round per peer, bounded state and identical final digests.
 # 4b. Paper specs: the scenarios/paper_*.json ports of the paper's
-#    experiments (E2 Tables II-IV/Fig. 4 for both models, E5b contention,
-#    E7 poisoning, E8 staleness, the E4 trade-off) run once each so the
-#    baseline gate can check them; the E4 EffNet sweep (21.2 MB payloads,
-#    minutes) runs only without --fast.
+#    experiments (E1 Table I/Fig. 3 centralized vanilla FL and E2 Tables
+#    II-IV/Fig. 4, each for both models, E5b contention, E7 poisoning, E8
+#    staleness, the E4 trade-off) run once each so the baseline gate can
+#    check them; the E4 EffNet sweep (21.2 MB payloads, minutes) runs only
+#    without --fast.
 # 5. Chain parity: the deterministic long-chain and peers-axis scaling
 #    sections of the chain bench run
 #    (BCFL_CHAIN_BENCH_SECTIONS=long_chain,scaling) so their counts and
@@ -166,7 +167,8 @@ for spec in soak_smoke hierarchical_soak_smoke; do
 done
 
 echo "== paper specs: the paper's experiments as gated scenario documents =="
-paper_specs=(paper_decentralized_simple paper_decentralized_effnet
+paper_specs=(paper_vanilla_simple paper_vanilla_effnet
+  paper_decentralized_simple paper_decentralized_effnet
   paper_contention paper_poisoning paper_staleness paper_tradeoff)
 if [ "${FAST}" -eq 0 ]; then
   paper_specs+=(paper_tradeoff_effnet)

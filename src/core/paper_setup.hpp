@@ -8,8 +8,9 @@
 //   * EffNet-lite consistently beats Simple NN, and aggregation combos
 //     separate in the decentralized tables.
 //
-// The scenario engine's defaults, the Table I bench and the examples all
-// draw from these helpers, so Table I and Tables II-IV come from one
+// The scenario engine's defaults and the examples draw from these helpers,
+// so Table I (the vanilla specs, scenarios/paper_vanilla_*.json) and
+// Tables II-IV (scenarios/paper_decentralized_*.json) come from one
 // coherent deployment, as in the paper.
 #pragma once
 

@@ -1,6 +1,7 @@
 #include "core/parallel.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <exception>
 #include <limits>
@@ -30,11 +31,8 @@ std::size_t env_thread_count() {
         // nothing in the tree calls setenv.
         if (const char* env =
                 std::getenv("BCFL_THREADS")) {  // NOLINT(concurrency-mt-unsafe)
-            char* end = nullptr;
-            const unsigned long value = std::strtoul(env, &end, 10);
-            if (end != env && *end == '\0' && value >= 1 && value <= 1024) {
-                return static_cast<std::size_t>(value);
-            }
+            const std::optional<std::size_t> value = parse_thread_count(env);
+            if (value.has_value() && *value >= 1) return *value;
         }
         const unsigned hardware = std::thread::hardware_concurrency();
         return static_cast<std::size_t>(hardware == 0 ? 1 : hardware);
@@ -43,6 +41,16 @@ std::size_t env_thread_count() {
 }
 
 }  // namespace
+
+std::optional<std::size_t> parse_thread_count(std::string_view text) {
+    std::size_t value = 0;
+    const char* const last = text.data() + text.size();
+    const auto [end, error] = std::from_chars(text.data(), last, value);
+    if (error != std::errc{} || end != last || value > kMaxThreads) {
+        return std::nullopt;
+    }
+    return value;
+}
 
 std::size_t thread_count() {
     return g_override != 0 ? g_override : env_thread_count();

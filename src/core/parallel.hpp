@@ -25,9 +25,21 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 namespace bcfl::core::parallel {
+
+/// Largest worker count any input may ask for: `BCFL_THREADS`, a scenario
+/// spec's "threads" and bcfl_scenario's --threads.
+inline constexpr std::size_t kMaxThreads = 1024;
+
+/// Parses a thread-count input: decimal digits only (no sign, no
+/// whitespace), at most kMaxThreads; nullopt otherwise. Unlike strtoull it
+/// never wraps "-1" around to 2^64-1.
+[[nodiscard]] std::optional<std::size_t> parse_thread_count(
+    std::string_view text);
 
 /// Effective worker count: ThreadCountOverride > BCFL_THREADS > hardware
 /// concurrency. Always >= 1.

@@ -1,14 +1,17 @@
 #include "core/scenario.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "core/paper_setup.hpp"
 #include "core/parallel.hpp"
 #include "core/policy.hpp"
+#include "fl/vanilla.hpp"
 
 namespace bcfl::core {
 
@@ -434,6 +437,33 @@ void validate_aggregation_widths(const DecentralizedConfig& config) {
           "topology.head_aggregation");
     check(config.topology.top_aggregation, topo.heads.size(),
           "topology.top_aggregation");
+}
+
+/// The keys a vanilla spec reads; of them, rounds, seed and aggregation
+/// are sweepable. Every other key configures the chain deployment that
+/// centralized FL does not have, so it would be a dead knob — the same
+/// rule that rejects latency_ms beside default_latency.
+constexpr std::array<std::string_view, 11> kVanillaKeys = {
+    "name", "mode",        "model",   "model_hidden", "peers", "rounds",
+    "seed", "aggregation", "threads", "data",         "sweep"};
+
+bool dead_in_vanilla(std::string_view key) {
+    return std::ranges::find(kVanillaKeys, key) == kVanillaKeys.end();
+}
+
+/// The vanilla aggregator an aggregation spec names: canonical
+/// best_combination is the paper's "consider", fedavg_all its "not
+/// consider". Nothing else (a fitness filter, another strategy) exists on
+/// the central server.
+fl::AggregationMode vanilla_aggregation(const std::string& aggregation) {
+    const std::string canonical =
+        make_aggregation_strategy(aggregation)->spec();
+    if (canonical == "best_combination") return fl::AggregationMode::consider;
+    if (canonical == "fedavg_all") return fl::AggregationMode::not_consider;
+    fail("aggregation \"" + aggregation +
+         "\" has no effect in vanilla mode — vanilla FL aggregates with "
+         "best_combination (consider) or fedavg_all (not_consider), "
+         "without fitness=");
 }
 
 /// Peer references must be range-checked *before* the narrowing NodeId
@@ -914,12 +944,6 @@ std::string label_value(const JsonValue& value) {
     }
 }
 
-void append_fingerprint(std::string& out, double value) {
-    char buffer[40];
-    std::snprintf(buffer, sizeof(buffer), "%.17g;", value);
-    out += buffer;
-}
-
 /// Reduction of the aggregated rounds of one subset of peers.
 struct RecordReduction {
     double final_accuracy = 0.0;  // mean over peers of their last round
@@ -1010,13 +1034,20 @@ std::optional<JsonValue> figure4_json(const DecentralizedResult& result) {
              full_minus_self / static_cast<double>(peer_rounds));
 }
 
-JsonValue point_json(const ScenarioPoint& point,
-                     const DecentralizedResult& result) {
+/// The members every point starts with: its grid label and the sweep
+/// overrides that produced it.
+JsonValue point_head(const ScenarioPoint& point) {
     JsonValue overrides = JsonValue::object();
     for (const auto& [key, value] : point.overrides) {
         overrides.set(key, value);
     }
+    return JsonValue::object()
+        .set("label", point.label)
+        .set("overrides", std::move(overrides));
+}
 
+JsonValue point_json(const ScenarioPoint& point,
+                     const DecentralizedResult& result) {
     std::string fingerprint;
     const RecordReduction all = reduce_records(result, {}, &fingerprint);
     std::size_t max_rounds = 0;
@@ -1040,9 +1071,7 @@ JsonValue point_json(const ScenarioPoint& point,
             JsonValue(samples ? sum / static_cast<double>(samples) : 0.0));
     }
 
-    JsonValue out = JsonValue::object()
-        .set("label", point.label)
-        .set("overrides", std::move(overrides))
+    JsonValue out = point_head(point)
         .set("wait_policy", point.config.wait_policy)
         .set("aggregation", point.config.aggregation)
         .set("seed", point.config.seed)
@@ -1101,9 +1130,60 @@ JsonValue point_json(const ScenarioPoint& point,
     return out;
 }
 
+/// One vanilla grid point: every client's accuracy per round, and the
+/// same reductions a decentralized point carries (final_accuracy is the
+/// clients' mean in the last round, round_accuracy the mean per round).
+JsonValue vanilla_point_json(const ScenarioPoint& point,
+                             const fl::VanillaResult& result,
+                             std::size_t clients) {
+    std::string fingerprint;
+    std::vector<JsonValue> client_accuracy(clients, JsonValue::array());
+    JsonValue round_accuracy = JsonValue::array();
+    JsonValue aggregator_accuracy = JsonValue::array();
+    JsonValue chosen = JsonValue::array();
+    double mean = 0.0;
+    for (const fl::VanillaRound& round : result.rounds) {
+        double sum = 0.0;
+        for (std::size_t c = 0; c < clients; ++c) {
+            client_accuracy[c].push(round.client_accuracy[c]);
+            sum += round.client_accuracy[c];
+            append_fingerprint(fingerprint, round.client_accuracy[c]);
+        }
+        append_fingerprint(fingerprint, round.aggregator_accuracy);
+        mean = sum / static_cast<double>(clients);
+        round_accuracy.push(mean);
+        aggregator_accuracy.push(round.aggregator_accuracy);
+        // Client indices, as in client_accuracy: "0,2".
+        std::string label;
+        for (std::size_t c : round.chosen) {
+            if (!label.empty()) label += ',';
+            label += std::to_string(c);
+        }
+        chosen.push(std::move(label));
+    }
+    JsonValue per_client = JsonValue::array();
+    for (JsonValue& curve : client_accuracy) per_client.push(std::move(curve));
+
+    return point_head(point)
+        .set("aggregation", point.config.aggregation)
+        .set("seed", point.config.seed)
+        .set("final_accuracy", mean)
+        .set("round_accuracy", std::move(round_accuracy))
+        .set("client_accuracy", std::move(per_client))
+        .set("aggregator_accuracy", std::move(aggregator_accuracy))
+        .set("chosen", std::move(chosen))
+        .set("fitness_fingerprint", fingerprint);
+}
+
 constexpr std::size_t kMaxGridPoints = 1024;
 
 }  // namespace
+
+void append_fingerprint(std::string& out, double value) {
+    char buffer[40];
+    std::snprintf(buffer, sizeof(buffer), "%.17g;", value);
+    out += buffer;
+}
 
 ScenarioSpec parse_scenario(std::string_view json_text) {
     const JsonValue doc = JsonValue::parse(json_text);
@@ -1151,6 +1231,11 @@ ScenarioSpec parse_scenario(std::string_view json_text) {
                          "output file)");
                 }
             }
+        } else if (key == "mode") {
+            spec.mode = value.as_string(key);
+            if (spec.mode != "decentralized" && spec.mode != "vanilla") {
+                fail("\"mode\" must be \"decentralized\" or \"vanilla\"");
+            }
         } else if (key == "model") {
             spec.model = value.as_string(key);
             if (spec.model != "simple" && spec.model != "effnet") {
@@ -1177,6 +1262,10 @@ ScenarioSpec parse_scenario(std::string_view json_text) {
             }
         } else if (key == "threads") {
             spec.threads = value.as_u64(key);
+            if (spec.threads > parallel::kMaxThreads) {
+                fail("\"threads\" must be within [0, " +
+                     std::to_string(parallel::kMaxThreads) + "]");
+            }
         } else if (key == "data") {
             parse_data(value, spec.data);
         } else if (key == "network") {
@@ -1192,6 +1281,17 @@ ScenarioSpec parse_scenario(std::string_view json_text) {
         }
     }
     if (spec.name.empty()) fail("\"name\" is required");
+    const bool vanilla = spec.mode == "vanilla";
+    if (vanilla) {
+        for (const auto& [key, value] : doc.members("scenario document")) {
+            if (dead_in_vanilla(key)) {
+                fail_at(value, "\"" + key +
+                                   "\" has no effect in vanilla mode — "
+                                   "remove it");
+            }
+        }
+        (void)vanilla_aggregation(spec.base.aggregation);
+    }
 
     if (topology_value != nullptr) {
         parse_topology(*topology_value, spec.base.topology);
@@ -1214,6 +1314,10 @@ ScenarioSpec parse_scenario(std::string_view json_text) {
         for (const auto& [key, values] : sweep->members("sweep")) {
             // Duplicate axes are impossible: the JSON parser rejects
             // duplicate object members outright.
+            if (vanilla && dead_in_vanilla(key)) {
+                fail_at(values, "sweep: \"" + key +
+                                    "\" has no effect in vanilla mode");
+            }
             SweepAxis axis;
             axis.key = key;
             axis.values = values.items("sweep." + key);
@@ -1226,6 +1330,7 @@ ScenarioSpec parse_scenario(std::string_view json_text) {
                 if (!apply_scalar_key(scratch, key, value)) {
                     fail("sweep: \"" + key + "\" is not a sweepable key");
                 }
+                if (vanilla) (void)vanilla_aggregation(scratch.aggregation);
                 validate_peer_refs(spec, scratch);
                 // Every grid point must both resolve its topology and keep
                 // combination searches within width; a bad cluster_size
@@ -1326,14 +1431,16 @@ std::vector<ScenarioPoint> expand_grid(const ScenarioSpec& spec) {
     return points;
 }
 
-JsonValue run_scenario(const ScenarioSpec& spec) {
+fl::FlTask make_scenario_task(const ScenarioSpec& spec) {
     ml::SyntheticCifarConfig data_config = spec.data;
     data_config.clients = spec.base.peers;
     const ml::FederatedData data = ml::make_synthetic_cifar(data_config);
-    const fl::FlTask task = spec.model == "effnet"
-                                ? paper_effnet_task(data)
-                                : paper_simple_task(data, spec.model_hidden);
-    return run_scenario(spec, task);
+    return spec.model == "effnet" ? paper_effnet_task(data)
+                                  : paper_simple_task(data, spec.model_hidden);
+}
+
+JsonValue run_scenario(const ScenarioSpec& spec) {
+    return run_scenario(spec, make_scenario_task(spec));
 }
 
 JsonValue run_scenario(const ScenarioSpec& spec, const fl::FlTask& task) {
@@ -1344,6 +1451,7 @@ JsonValue run_scenario(const ScenarioSpec& spec, const fl::FlTask& task) {
              "\" is not deterministic — run this spec through "
              "examples/bcfl_soak instead");
     }
+    const bool vanilla = spec.mode == "vanilla";
     const std::vector<ScenarioPoint> points = expand_grid(spec);
     std::optional<parallel::ThreadCountOverride> width;
     if (spec.threads != 0) width.emplace(spec.threads);
@@ -1355,6 +1463,15 @@ JsonValue run_scenario(const ScenarioSpec& spec, const fl::FlTask& task) {
     // so the document below is byte-identical at every BCFL_THREADS.
     std::vector<JsonValue> results(points.size());
     parallel::for_each(points.size(), [&](std::size_t i) {
+        if (vanilla) {
+            fl::VanillaConfig config;
+            config.rounds = points[i].config.rounds;
+            config.seed = points[i].config.seed;
+            config.mode = vanilla_aggregation(points[i].config.aggregation);
+            results[i] = vanilla_point_json(
+                points[i], fl::run_vanilla(task, config), task.clients);
+            return;
+        }
         DecentralizedConfig config = points[i].config;
         config.threads = 0;  // never install overrides from a worker
         const DecentralizedResult result = run_decentralized(task, config);
@@ -1363,15 +1480,18 @@ JsonValue run_scenario(const ScenarioSpec& spec, const fl::FlTask& task) {
 
     JsonValue point_array = JsonValue::array();
     for (JsonValue& result : results) point_array.push(std::move(result));
-    return JsonValue::object()
-        .set("bench", "scenario_" + spec.name)
-        .set("scenario", spec.name)
-        .set("model", spec.model)
+    JsonValue doc = JsonValue::object()
+                        .set("bench", "scenario_" + spec.name)
+                        .set("scenario", spec.name);
+    // Decentralized documents predate the key and stay byte-identical.
+    if (vanilla) doc.set("mode", spec.mode);
+    doc.set("model", spec.model)
         .set("peers", static_cast<std::uint64_t>(spec.base.peers))
         .set("rounds", static_cast<std::uint64_t>(spec.base.rounds))
         .set("seed", spec.base.seed)
         .set("grid_points", static_cast<std::uint64_t>(points.size()))
         .set("points", std::move(point_array));
+    return doc;
 }
 
 void write_scenario_json(const std::string& path, const JsonValue& doc) {

@@ -3,9 +3,11 @@
 // A ScenarioSpec is a JSON document that composes everything a deployment
 // needs — DecentralizedConfig knobs, WaitPolicy / AggregationStrategy specs,
 // network fault injection (net/conditions.hpp), stragglers, poisoners, peer
-// churn — plus parameter sweeps. `run_scenario` expands the sweep grid and
+// churn — plus parameter sweeps. A `"mode": "vanilla"` spec instead runs the
+// paper's centralized baseline (fl/vanilla.hpp, Table I / Fig. 3) with the
+// same model, data and seed keys. `run_scenario` expands the sweep grid and
 // fans the points out through the deterministic compute engine
-// (core/parallel), one self-contained simulation per task, then emits one
+// (core/parallel), one self-contained run per task, then emits one
 // BENCH-schema JSON document. Every value in the document is a pure
 // function of (spec, seed): the same spec produces byte-identical JSON at
 // any BCFL_THREADS setting, which is what lets CI gate on it.
@@ -116,6 +118,10 @@ struct SweepAxis {
 
 struct ScenarioSpec {
     std::string name;               // [a-z0-9_]+, names the output file
+    /// "decentralized" (the chain deployment in `base`) or "vanilla" (the
+    /// centralized baseline: `base` contributes only peers, rounds, seed
+    /// and an aggregation of best_combination or fedavg_all).
+    std::string mode = "decentralized";
     std::string model = "simple";   // "simple" | "effnet"
     /// Transport backend the deployment runs over: "sim" (deterministic
     /// simulation — the only backend the grid engine accepts, since its
@@ -126,8 +132,8 @@ struct ScenarioSpec {
     /// roster scaling scenarios train in seconds (ignored by "effnet").
     std::size_t model_hidden = 96;
     /// Worker threads for the grid fan-out (0 = ambient BCFL_THREADS /
-    /// hardware default). Points always run their inner engine serially —
-    /// the grid owns the worker pool.
+    /// hardware default; at most parallel::kMaxThreads). Points always run
+    /// their inner engine serially — the grid owns the worker pool.
     std::size_t threads = 0;
     ml::SyntheticCifarConfig data;  // paper_data_config() defaults
     DecentralizedConfig base;       // paper_chain_config() defaults
@@ -152,13 +158,22 @@ struct ScenarioPoint {
 [[nodiscard]] std::vector<ScenarioPoint> expand_grid(
     const ScenarioSpec& spec);
 
+/// The FL task a spec describes: its `data` section split over `peers`
+/// clients, and its `model` (with `model_hidden` for "simple").
+[[nodiscard]] fl::FlTask make_scenario_task(const ScenarioSpec& spec);
+
 /// Runs every grid point and returns the BENCH-schema document
 /// ({"bench":"scenario_<name>", ..., "points":[...]}). The task is built
-/// from the spec's model/data section; the overload lets tests inject a
-/// miniature task instead.
+/// by make_scenario_task; the overload lets tests inject a miniature task
+/// instead.
 [[nodiscard]] JsonValue run_scenario(const ScenarioSpec& spec);
 [[nodiscard]] JsonValue run_scenario(const ScenarioSpec& spec,
                                      const fl::FlTask& task);
+
+/// Appends one value to a determinism fingerprint at full round-trip
+/// precision ("%.17g;"). Every fitness_fingerprint — scenario points and
+/// benches alike — goes through this one formatter.
+void append_fingerprint(std::string& out, double value);
 
 /// Writes `doc` (plus trailing newline) to `path`; throws Error on I/O
 /// failure.

@@ -9,6 +9,7 @@
 #include "core/parallel.hpp"
 #include "core/scenario.hpp"
 #include "fl/task.hpp"
+#include "fl/vanilla.hpp"
 #include "ml/data.hpp"
 
 namespace bcfl::core {
@@ -67,6 +68,25 @@ TEST(Json, NestingDepthCapBoundary) {
 
 std::string minimal_spec(const std::string& extra = "") {
     return R"({"name":"t","rounds":2,"train_seconds":10)" + extra + "}";
+}
+
+/// Parse must fail AND the message must carry `expect` — negative paths
+/// that merely throw with a generic message do not count as diagnostics.
+void expect_parse_error(const std::string& text, const std::string& expect) {
+    try {
+        (void)parse_scenario(text);
+        FAIL() << "expected a parse failure mentioning \"" << expect << "\"";
+    } catch (const Error& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find(expect), std::string::npos)
+            << "got: " << what << "\nwanted substring: " << expect;
+    }
+}
+
+/// A centralized (Table I) spec: no chain keys, so minimal_spec's
+/// train_seconds would be a dead knob here.
+std::string vanilla_spec(const std::string& extra = "") {
+    return R"({"name":"v","mode":"vanilla","rounds":2)" + extra + "}";
 }
 
 TEST(ScenarioSpec, DefaultsComeFromPaperSetup) {
@@ -169,6 +189,45 @@ TEST(ScenarioSpec, RejectsInvalidValues) {
         (void)parse_scenario(minimal_spec(
             R"(,"network":{"default_latency":{"dist":"uniform","lo_ms":50,"hi_ms":10}})")),
         Error);
+    // Vanilla mode: an unknown mode, and every chain knob is dead there —
+    // at top level, as a sweep axis, or as an aggregation the central
+    // server does not run.
+    expect_parse_error(minimal_spec(R"(,"mode":"central")"), "\"mode\"");
+    const std::string dead = "has no effect in vanilla mode";
+    expect_parse_error(vanilla_spec(R"(,"wait_policy":"wait_all")"), dead);
+    expect_parse_error(vanilla_spec(R"(,"network":{"loss":0.1})"), dead);
+    expect_parse_error(vanilla_spec(R"(,"transport":"tcp")"), dead);
+    expect_parse_error(vanilla_spec(R"(,"topology":{"cluster_size":2})"),
+                       dead);
+    expect_parse_error(vanilla_spec(R"(,"aggregation":"trimmed_mean")"),
+                       dead);
+    expect_parse_error(
+        vanilla_spec(R"(,"aggregation":"best_combination,fitness=0.1")"),
+        dead);
+    expect_parse_error(vanilla_spec(R"(,"sweep":{"loss":[0.0,0.1]})"), dead);
+    expect_parse_error(
+        vanilla_spec(R"(,"sweep":{"aggregation":["consider","trimmed_mean"]})"),
+        dead);
+    // The 2^n-1 consider search keeps its width bound in vanilla mode.
+    expect_parse_error(vanilla_spec(R"(,"peers":12)"), "exponential");
+    EXPECT_NO_THROW((void)parse_scenario(
+        vanilla_spec(R"(,"peers":12,"aggregation":"not_consider")")));
+}
+
+TEST(ScenarioSpec, ThreadCountsAreBoundedAtParse) {
+    // Parse-only: nothing here starts a thread. The parser behind
+    // --threads and BCFL_THREADS takes digits up to the engine's cap and
+    // nothing else, so a leading '-' cannot wrap around to 2^64-1.
+    EXPECT_EQ(parallel::parse_thread_count("0"), std::size_t{0});
+    EXPECT_EQ(parallel::parse_thread_count("1024"), parallel::kMaxThreads);
+    for (const char* bad : {"-1", "1025", "18446744073709551615", "+4", " 4",
+                            "4x", ""}) {
+        EXPECT_FALSE(parallel::parse_thread_count(bad).has_value()) << bad;
+    }
+    EXPECT_EQ(parse_scenario(minimal_spec(R"(,"threads":1024)")).threads,
+              parallel::kMaxThreads);
+    expect_parse_error(minimal_spec(R"(,"threads":1025)"), "\"threads\"");
+    expect_parse_error(minimal_spec(R"(,"threads":-1)"), "\"threads\"");
 }
 
 TEST(ScenarioSpec, RejectsInvalidSweeps) {
@@ -214,19 +273,6 @@ TEST(ScenarioSpec, RejectsInvalidSweeps) {
                      R"(,"sweep":{"seed":)" + big_a +
                      R"(,"payload_pad_bytes":)" + big_b + "}")),
                  Error);
-}
-
-/// Parse must fail AND the message must carry `expect` — negative paths
-/// that merely throw with a generic message do not count as diagnostics.
-void expect_parse_error(const std::string& text, const std::string& expect) {
-    try {
-        (void)parse_scenario(text);
-        FAIL() << "expected a parse failure mentioning \"" << expect << "\"";
-    } catch (const Error& error) {
-        const std::string what = error.what();
-        EXPECT_NE(what.find(expect), std::string::npos)
-            << "got: " << what << "\nwanted substring: " << expect;
-    }
 }
 
 TEST(ScenarioSpec, RejectsBrokenTopologies) {
@@ -352,7 +398,7 @@ TEST(ScenarioSpec, EveryCheckedInSpecLoadsAndExpands) {
         }
     }
     std::sort(specs.begin(), specs.end());
-    ASSERT_GE(specs.size(), 17u);
+    ASSERT_GE(specs.size(), 19u);
     for (const std::filesystem::path& path : specs) {
         SCOPED_TRACE(path.string());
         ScenarioSpec spec;
@@ -410,21 +456,77 @@ ScenarioSpec tiny_spec() {
       })");
 }
 
+/// Table I's consider / not-consider pair on the miniature task.
+ScenarioSpec tiny_vanilla_spec() {
+    return parse_scenario(vanilla_spec(
+        R"(,"seed":3,"sweep":{"aggregation":["consider","not_consider"]})"));
+}
+
 TEST(ScenarioRun, ByteIdenticalJsonAcrossThreadCounts) {
-    const ScenarioSpec spec = tiny_spec();
     const fl::FlTask task = tiny_task();
-    std::string serial;
-    std::string parallel_wide;
-    {
-        parallel::ThreadCountOverride one(1);
-        serial = run_scenario(spec, task).dump();
+    for (const ScenarioSpec& spec : {tiny_spec(), tiny_vanilla_spec()}) {
+        SCOPED_TRACE(spec.name);
+        std::string serial;
+        std::string parallel_wide;
+        {
+            parallel::ThreadCountOverride one(1);
+            serial = run_scenario(spec, task).dump();
+        }
+        {
+            parallel::ThreadCountOverride eight(8);
+            parallel_wide = run_scenario(spec, task).dump();
+        }
+        EXPECT_EQ(serial, parallel_wide)
+            << "scenario JSON diverged between BCFL_THREADS=1 and 8";
     }
-    {
-        parallel::ThreadCountOverride eight(8);
-        parallel_wide = run_scenario(spec, task).dump();
+}
+
+TEST(ScenarioRun, VanillaPointsEqualRunVanillaValueForValue) {
+    const fl::FlTask task = tiny_task();
+    const JsonValue doc = run_scenario(tiny_vanilla_spec(), task);
+    EXPECT_EQ(doc.find("mode")->as_string("mode"), "vanilla");
+    const auto& points = doc.find("points")->items("points");
+    ASSERT_EQ(points.size(), 2u);
+    const fl::AggregationMode modes[] = {fl::AggregationMode::consider,
+                                         fl::AggregationMode::not_consider};
+    for (std::size_t p = 0; p < 2; ++p) {
+        SCOPED_TRACE(points[p].find("label")->as_string("label"));
+        fl::VanillaConfig config;
+        config.rounds = 2;
+        config.seed = 3;
+        config.mode = modes[p];
+        const fl::VanillaResult direct = fl::run_vanilla(task, config);
+
+        const auto& clients =
+            points[p].find("client_accuracy")->items("client_accuracy");
+        const auto& chosen = points[p].find("chosen")->items("chosen");
+        ASSERT_EQ(clients.size(), task.clients);
+        ASSERT_EQ(chosen.size(), direct.rounds.size());
+        for (std::size_t r = 0; r < direct.rounds.size(); ++r) {
+            const fl::VanillaRound& round = direct.rounds[r];
+            for (std::size_t c = 0; c < task.clients; ++c) {
+                EXPECT_EQ(clients[c].items("curve")[r].as_double("acc"),
+                          round.client_accuracy[c]);
+            }
+            std::string label;
+            for (std::size_t c : round.chosen) {
+                if (!label.empty()) label += ',';
+                label += std::to_string(c);
+            }
+            EXPECT_EQ(chosen[r].as_string("chosen"), label);
+        }
+        double final_accuracy = 0.0;
+        for (double accuracy : direct.rounds.back().client_accuracy) {
+            final_accuracy += accuracy;
+        }
+        EXPECT_EQ(
+            points[p].find("final_accuracy")->as_double("final_accuracy"),
+            final_accuracy / static_cast<double>(task.clients));
     }
-    EXPECT_EQ(serial, parallel_wide)
-        << "scenario JSON diverged between BCFL_THREADS=1 and 8";
+    // Not considering aggregates everyone, every round.
+    for (const JsonValue& label : points[1].find("chosen")->items("chosen")) {
+        EXPECT_EQ(label.as_string("chosen"), "0,1,2");
+    }
 }
 
 TEST(ScenarioRun, DocumentCarriesPointsWithFaultMetrics) {
