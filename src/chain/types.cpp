@@ -47,18 +47,18 @@ const std::vector<rlp::Item>& as_list(const rlp::Item& item) {
     return item.children();
 }
 
-/// RLP encoding of the fields covered by the signature.
-Bytes signing_payload(const Transaction::Fields& f) {
-    return rlp::encode(rlp::Item::list({
-        rlp::Item::integer(f.nonce),
-        address_item(f.to),
-        rlp::Item::integer(f.gas_limit),
-        rlp::Item::integer(f.gas_price),
-        rlp::Item::string(f.data),
-    }));
-}
-
 }  // namespace
+
+Bytes Transaction::signing_head(const Fields& f) {
+    Bytes items = rlp::encode(rlp::Item::integer(f.nonce));
+    append(items, rlp::encode(address_item(f.to)));
+    append(items, rlp::encode(rlp::Item::integer(f.gas_limit)));
+    append(items, rlp::encode(rlp::Item::integer(f.gas_price)));
+    append(items, rlp::string_header(f.data));
+    Bytes head = rlp::list_header(items.size() + f.data.size());
+    append(head, items);
+    return head;
+}
 
 Bytes Transaction::encode() const {
     return rlp::encode(rlp::Item::list({
@@ -99,8 +99,9 @@ Hash32 Transaction::hash() const {
 
 bool Transaction::verify_signature() const {
     if (!verdict_cache_) {
-        verdict_cache_ = crypto::verify(
-            fields_.sender_pub, signing_payload(fields_), fields_.signature);
+        verdict_cache_ =
+            crypto::verify(fields_.sender_pub, signing_head(fields_),
+                           fields_.data, fields_.signature);
     }
     return *verdict_cache_;
 }
@@ -111,7 +112,7 @@ Transaction Transaction::make_signed(const crypto::KeyPair& key,
                                      std::uint64_t gas_price, Bytes data) {
     Fields fields{nonce, to, gas_limit, gas_price, std::move(data),
                   key.public_key(), {}};
-    fields.signature = key.sign(signing_payload(fields));
+    fields.signature = key.sign(signing_head(fields), fields.data);
     return Transaction(std::move(fields));
 }
 

@@ -60,6 +60,12 @@ public:
         return Transaction(std::move(fields));
     }
 
+    /// The signed message is the RLP list of the fields before the public
+    /// key. Its last item is the data, so the message is
+    /// signing_head(f) || f.data: sign and verify hash the two parts and
+    /// never copy the data.
+    [[nodiscard]] static Bytes signing_head(const Fields& fields);
+
     [[nodiscard]] const Fields& fields() const { return fields_; }
     [[nodiscard]] std::uint64_t nonce() const { return fields_.nonce; }
     [[nodiscard]] const Address& to() const { return fields_.to; }

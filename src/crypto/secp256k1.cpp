@@ -438,13 +438,15 @@ U256 scalar_from_hash(const Hash32& h) {
     return reduced.is_zero() ? U256{1} : reduced;
 }
 
-Hash32 challenge(const Point& r, const Point& pub, BytesView message) {
+Hash32 challenge(const Point& r, const Point& pub, BytesView head,
+                 BytesView body) {
     Sha256 hasher;
     hasher.update(r.x.to_hash().view());
     hasher.update(r.y.to_hash().view());
     hasher.update(pub.x.to_hash().view());
     hasher.update(pub.y.to_hash().view());
-    hasher.update(message);
+    hasher.update(head);
+    hasher.update(body);
     return hasher.finalize();
 }
 
@@ -521,25 +523,35 @@ KeyPair KeyPair::from_secret(const U256& secret) {
 Address KeyPair::address() const { return to_address(public_); }
 
 Signature KeyPair::sign(BytesView message) const {
+    return sign(message, BytesView{});
+}
+
+Signature KeyPair::sign(BytesView head, BytesView body) const {
     // Deterministic nonce: k = H(sk || msg) mod n (RFC6979 in spirit).
     Sha256 nonce_hasher;
     nonce_hasher.update(secret_.to_hash().view());
-    nonce_hasher.update(message);
+    nonce_hasher.update(head);
+    nonce_hasher.update(body);
     const U256 k = scalar_from_hash(nonce_hasher.finalize());
 
     const Point r = mul_g(k);
-    const U256 e = scalar_from_hash(challenge(r, public_, message));
+    const U256 e = scalar_from_hash(challenge(r, public_, head, body));
     const U256 s = add_mod(k, mul_mod(e, secret_, kOrder), kOrder);
     return Signature{r.x, r.y, s};
 }
 
 bool verify(const Point& pub, BytesView message, const Signature& sig) {
+    return verify(pub, message, BytesView{}, sig);
+}
+
+bool verify(const Point& pub, BytesView head, BytesView body,
+            const Signature& sig) {
     if (pub.infinity || !on_curve(pub)) return false;
     const Point r{sig.rx, sig.ry, false};
     if (!on_curve(r)) return false;
     if (sig.s >= kOrder) return false;
 
-    const U256 e = scalar_from_hash(challenge(r, pub, message));
+    const U256 e = scalar_from_hash(challenge(r, pub, head, body));
     // Check s·G - e·P == R in Jacobian coordinates: X == rx·Z^2 and
     // Y == ry·Z^3 (fp::mul reduces rx and ry mod p), so no inversion.
     const Jacobian q = mul_add(sig.s, sub(kOrder, e), pub);

@@ -81,6 +81,8 @@ public:
 
     /// Schnorr signature over an arbitrary message (hashed internally).
     [[nodiscard]] Signature sign(BytesView message) const;
+    /// sign(head || body), hashed from the two parts without joining them.
+    [[nodiscard]] Signature sign(BytesView head, BytesView body) const;
 
 private:
     KeyPair(U256 secret, Point pub)
@@ -92,6 +94,9 @@ private:
 
 /// Verifies signature `sig` on `message` under public key `pub`.
 [[nodiscard]] bool verify(const Point& pub, BytesView message,
+                          const Signature& sig);
+/// verify(pub, head || body, sig), without joining the two parts.
+[[nodiscard]] bool verify(const Point& pub, BytesView head, BytesView body,
                           const Signature& sig);
 
 /// Ethereum-style address of a public key.

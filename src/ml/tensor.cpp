@@ -57,24 +57,33 @@ void gemm_baseline(const float* a, std::size_t a_row, std::size_t a_col,
 }
 #endif
 
-using GemmKernel = decltype(&gemm_baseline);
+struct GemmKernel {
+    const char* name;
+    decltype(&gemm_baseline) fn;
+};
 
 GemmKernel select_gemm() {
 #if defined(__x86_64__)
     __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2")) return gemm_avx2;
+    if (__builtin_cpu_supports("avx2")) return {"avx2", gemm_avx2};
 #endif
-    return gemm_baseline;
+    return {"baseline", gemm_baseline};
+}
+
+const GemmKernel& selected_gemm() {
+    static const GemmKernel chosen = select_gemm();
+    return chosen;
 }
 
 void gemm(const float* a, std::size_t a_row, std::size_t a_col,
           const float* b, float* out, std::size_t m, std::size_t k,
           std::size_t n, bool accumulate) {
-    static const GemmKernel impl = select_gemm();
-    impl(a, a_row, a_col, b, out, m, k, n, accumulate);
+    selected_gemm().fn(a, a_row, a_col, b, out, m, k, n, accumulate);
 }
 
 }  // namespace
+
+const char* gemm_kernel_name() { return selected_gemm().name; }
 
 void matmul_nn(const float* a, const float* b, float* out, std::size_t m,
                std::size_t k, std::size_t n, bool accumulate) {

@@ -65,6 +65,10 @@ void matmul_tn(const float* a, const float* b, float* out, std::size_t m,
 void matmul_nt(const float* a, const float* b, float* out, std::size_t m,
                std::size_t k, std::size_t n, bool accumulate);
 
+/// Name of the kernel build behind matmul_nn and matmul_tn that cpuid
+/// picked for this host: "avx2" or "baseline".
+[[nodiscard]] const char* gemm_kernel_name();
+
 /// y += alpha * x (vectors of equal length).
 void axpy(float alpha, const std::vector<float>& x, std::vector<float>& y);
 

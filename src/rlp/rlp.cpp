@@ -28,15 +28,15 @@ void encode_length(Bytes& out, std::size_t length, std::uint8_t short_base,
     append(out, len_bytes);
 }
 
+void encode_string_header(Bytes& out, BytesView data) {
+    if (data.size() == 1 && data[0] < 0x80) return;
+    encode_length(out, data.size(), 0x80, 0xb7);
+}
+
 void encode_into(const Item& item, Bytes& out) {
     if (!item.is_list()) {
-        const Bytes& data = item.data();
-        if (data.size() == 1 && data[0] < 0x80) {
-            out.push_back(data[0]);
-            return;
-        }
-        encode_length(out, data.size(), 0x80, 0xb7);
-        append(out, data);
+        encode_string_header(out, item.data());
+        append(out, item.data());
         return;
     }
     Bytes payload;
@@ -137,6 +137,18 @@ std::uint64_t Item::as_u64() const {
 Bytes encode(const Item& item) {
     Bytes out;
     encode_into(item, out);
+    return out;
+}
+
+Bytes string_header(BytesView data) {
+    Bytes out;
+    encode_string_header(out, data);
+    return out;
+}
+
+Bytes list_header(std::size_t payload_size) {
+    Bytes out;
+    encode_length(out, payload_size, 0xc0, 0xf7);
     return out;
 }
 

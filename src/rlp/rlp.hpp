@@ -50,6 +50,13 @@ private:
 /// Serializes an item.
 [[nodiscard]] Bytes encode(const Item& item);
 
+/// The bytes encode() writes before a string's contents: none for a single
+/// byte below 0x80, which encodes as itself.
+[[nodiscard]] Bytes string_header(BytesView data);
+/// The bytes encode() writes before the items of a list whose items encode
+/// to `payload_size` bytes.
+[[nodiscard]] Bytes list_header(std::size_t payload_size);
+
 /// Parses exactly one item covering the whole input; throws DecodeError on
 /// malformed or trailing data.
 [[nodiscard]] Item decode(BytesView data);

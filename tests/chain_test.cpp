@@ -111,6 +111,58 @@ TEST(Transaction, CopiesCarryCachedIdAndVerdict) {
     EXPECT_TRUE(cold.verify_signature());
 }
 
+TEST(Transaction, SigningHeadAndDataSpellTheRlpOfTheSignedFields) {
+    // Transactions were signed over this encoding of their first five
+    // fields. signing_head(f) || f.data must spell it byte for byte at the
+    // RLP length boundaries of the data string, for 1-byte data below 0x80
+    // (which has no string header) and at or above it, and at those of the
+    // list: with nonce 0 its payload is 55 and 56 bytes at 27 and 28 bytes
+    // of data, 255 and 256 at 226 and 227.
+    const KeyPair key = KeyPair::from_seed(11);
+    std::vector<Bytes> payloads = {Bytes{0x00}, Bytes{0x7f}, Bytes{0x80},
+                                   Bytes{0xff}};
+    for (const std::size_t n : {0u, 1u, 27u, 28u, 55u, 56u, 226u, 227u, 255u,
+                                256u, 65535u, 65536u}) {
+        Bytes data(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            data[i] = static_cast<std::uint8_t>(i * 131 + 7);
+        }
+        payloads.push_back(std::move(data));
+    }
+    Address to;
+    to.data.fill(0xab);
+    std::unordered_set<std::size_t> list_payloads;
+    for (const Bytes& data : payloads) {
+        for (const std::uint64_t nonce :
+             {std::uint64_t{0}, std::numeric_limits<std::uint64_t>::max()}) {
+            const Transaction tx = Transaction::make_signed(
+                key, nonce, to, 100'000, 2, data);
+            const Bytes signed_fields = rlp::encode(rlp::Item::list({
+                rlp::Item::integer(nonce),
+                rlp::Item::string(to.view()),
+                rlp::Item::integer(100'000),
+                rlp::Item::integer(2),
+                rlp::Item::string(data),
+            }));
+            Bytes joined = Transaction::signing_head(tx.fields());
+            append(joined, tx.data());
+            EXPECT_EQ(joined, signed_fields)
+                << data.size() << "-byte data, nonce " << nonce;
+            if (nonce == 0) {
+                const std::size_t header =
+                    1 + (signed_fields[0] > 0xf7 ? signed_fields[0] - 0xf7 : 0);
+                list_payloads.insert(signed_fields.size() - header);
+            }
+            EXPECT_EQ(tx.fields().signature, key.sign(signed_fields));
+            EXPECT_TRUE(tx.verify_signature());
+        }
+    }
+    for (const std::size_t size : {55u, 56u, 255u, 256u}) {
+        EXPECT_TRUE(list_payloads.contains(size))
+            << "no list payload of " << size << " bytes";
+    }
+}
+
 TEST(Transaction, DecodeRejectsGarbage) {
     EXPECT_THROW(Transaction::decode(str_bytes("nonsense")), Error);
 }

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.hpp"
 #include "core/parallel.hpp"
+#include "crypto/hash_kernels.hpp"
 #include "crypto/keccak.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/secp256k1.hpp"
@@ -13,6 +16,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "crypto/u256.hpp"
+#include "hash_reference.hpp"
 #include "secp256k1_reference.hpp"
 
 namespace bcfl::crypto {
@@ -96,6 +100,126 @@ TEST(Keccak, LongInputCrossesRateBoundary) {
                                        BytesView(data).subspan(n / 2));
         EXPECT_EQ(once, split) << n;
     }
+}
+
+// ---------------------------------------- hash kernels vs the reference
+//
+// Every compiled SHA-256 and keccak-f[1600] variant against the original
+// code kept in tests/hash_reference.hpp: random data at every length
+// 0..300 and at 2 MiB + 7 bytes, hashed in one piece and cut at random
+// split points. A variant this host cannot run is skipped, not passed.
+
+std::vector<std::size_t> differential_lengths() {
+    std::vector<std::size_t> lengths;
+    for (std::size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+    lengths.push_back((2u << 20) + 7);
+    return lengths;
+}
+
+Bytes random_bytes(std::size_t n, std::uint64_t& state) {
+    Bytes out(n);
+    for (std::uint8_t& byte : out) {
+        byte = static_cast<std::uint8_t>(bcfl::splitmix64(state));
+    }
+    return out;
+}
+
+/// Up to eight random cut points in [0, size], ascending (repeats give
+/// empty pieces).
+std::vector<std::size_t> random_cuts(std::size_t size, std::uint64_t& state) {
+    std::vector<std::size_t> cuts(1 + bcfl::splitmix64(state) % 8);
+    for (std::size_t& cut : cuts) cut = bcfl::splitmix64(state) % (size + 1);
+    std::sort(cuts.begin(), cuts.end());
+    return cuts;
+}
+
+template <typename Fn>
+const kernel::Variant<Fn>* find_variant(
+    std::span<const kernel::Variant<Fn>> variants, std::string_view name) {
+    for (const kernel::Variant<Fn>& variant : variants) {
+        if (variant.name == name) return &variant;
+    }
+    return nullptr;
+}
+
+void expect_sha256_matches_reference(std::string_view name) {
+    const auto* variant = find_variant(kernel::sha256_variants(), name);
+    if (variant == nullptr || !variant->supported) {
+        GTEST_SKIP() << "SHA-256 variant " << name
+                     << " is not built for or not supported by this CPU";
+    }
+    std::uint64_t state = 0x5a256;
+    for (const std::size_t n : differential_lengths()) {
+        const Bytes data = random_bytes(n, state);
+        const Hash32 want = Sha256Reference::sha256(data);
+
+        Sha256 whole = kernel::Sha256Access::with(variant->fn);
+        whole.update(data);
+        EXPECT_EQ(whole.finalize(), want) << name << ", " << n << " bytes";
+
+        // An empty Bytes (null data pointer) goes in first: a no-op.
+        Sha256 pieces = kernel::Sha256Access::with(variant->fn);
+        pieces.update(Bytes{});
+        std::size_t from = 0;
+        for (const std::size_t cut : random_cuts(n, state)) {
+            pieces.update(BytesView(data).subspan(from, cut - from));
+            from = cut;
+        }
+        pieces.update(BytesView(data).subspan(from));
+        EXPECT_EQ(pieces.finalize(), want)
+            << name << ", " << n << " bytes in pieces";
+    }
+}
+
+void expect_keccak_matches_reference(std::string_view name) {
+    const auto* variant = find_variant(kernel::keccak_variants(), name);
+    if (variant == nullptr || !variant->supported) {
+        GTEST_SKIP() << "keccak-f variant " << name
+                     << " is not built for or not supported by this CPU";
+    }
+    std::uint64_t state = 0x5a3;
+    for (const std::size_t n : differential_lengths()) {
+        const Bytes data = random_bytes(n, state);
+        const Hash32 want = KeccakReference::keccak256(data);
+        EXPECT_EQ(kernel::keccak256_with(variant->fn, data, Bytes{}), want)
+            << name << ", " << n << " bytes";
+        EXPECT_EQ(kernel::keccak256_with(variant->fn, Bytes{}, data), want)
+            << name << ", " << n << " bytes as the second part";
+        const std::size_t cut = random_cuts(n, state).front();
+        EXPECT_EQ(kernel::keccak256_with(variant->fn,
+                                         BytesView(data).subspan(0, cut),
+                                         BytesView(data).subspan(cut)),
+                  want)
+            << name << ", " << n << " bytes cut at " << cut;
+    }
+}
+
+TEST(HashKernels, Sha256ScalarMatchesReference) {
+    expect_sha256_matches_reference("scalar");
+}
+
+TEST(HashKernels, Sha256ShaNiMatchesReference) {
+    expect_sha256_matches_reference("sha-ni");
+}
+
+TEST(HashKernels, KeccakBaselineMatchesReference) {
+    expect_keccak_matches_reference("baseline");
+}
+
+TEST(HashKernels, KeccakBmi2MatchesReference) {
+    expect_keccak_matches_reference("bmi2");
+}
+
+TEST(HashKernels, PublicHashesRunTheLastSupportedVariant) {
+    const auto& sha = kernel::last_supported(kernel::sha256_variants());
+    const auto& keccak = kernel::last_supported(kernel::keccak_variants());
+    EXPECT_STREQ(sha256_kernel_name(), sha.name);
+    EXPECT_STREQ(keccak_kernel_name(), keccak.name);
+    EXPECT_TRUE(kernel::sha256_variants().front().supported);
+    EXPECT_TRUE(kernel::keccak_variants().front().supported);
+    const Bytes data = str_bytes("dispatched");
+    EXPECT_EQ(sha256(data), Sha256Reference::sha256(data));
+    EXPECT_EQ(keccak256(data), KeccakReference::keccak256(data));
 }
 
 // ------------------------------------------------------------------- U256

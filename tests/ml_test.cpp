@@ -165,6 +165,16 @@ TEST(Tensor, MatmulKernelsMatchReferenceBitForBit) {
     }
 }
 
+TEST(Tensor, GemmKernelNameIsTheOneCpuidPicks) {
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    EXPECT_STREQ(gemm_kernel_name(),
+                 __builtin_cpu_supports("avx2") ? "avx2" : "baseline");
+#else
+    EXPECT_STREQ(gemm_kernel_name(), "baseline");
+#endif
+}
+
 TEST(Tensor, MatmulZeroSkipAgainstInfAndNan) {
     // Column 2 of A is all zeros and row 2 of B holds +inf, -inf and NaN:
     // matmul_nn/tn skip those terms and stay finite, matmul_nt multiplies

@@ -38,6 +38,8 @@ TEST(Rlp, NestedListVector) {
 TEST(Rlp, SingleByteBelow0x80IsItself) {
     EXPECT_EQ(to_hex(encode(Item::string(Bytes{0x7f}))), "7f");
     EXPECT_EQ(to_hex(encode(Item::string(Bytes{0x80}))), "8180");
+    EXPECT_TRUE(string_header(Bytes{0x7f}).empty());
+    EXPECT_EQ(to_hex(string_header(Bytes{0x80})), "81");
 }
 
 class RlpRoundTrip : public ::testing::TestWithParam<std::size_t> {};
@@ -52,6 +54,16 @@ TEST_P(RlpRoundTrip, StringOfLength) {
     const Item back = decode(encode(item));
     EXPECT_FALSE(back.is_list());
     EXPECT_EQ(back.data(), payload);
+
+    // The headers encode() writes, on their own: a string's, and a list's
+    // around that string's encoding.
+    Bytes joined = string_header(payload);
+    append(joined, payload);
+    EXPECT_EQ(joined, encode(item));
+    const Bytes items = encode(item);
+    joined = list_header(items.size());
+    append(joined, items);
+    EXPECT_EQ(joined, encode(Item::list({item})));
 }
 
 INSTANTIATE_TEST_SUITE_P(Lengths, RlpRoundTrip,
