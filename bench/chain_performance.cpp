@@ -1,30 +1,21 @@
-// E3 — chain-performance claims from §II-A2 (the background the paper builds
-// its asynchronous-aggregation argument on) plus the Figure-2 workflow:
+// E3 — chain-performance axes behind the paper's Figure-2 workflow. The
+// block-interval law (E3b, E5a) and the block propagation delay (E3c) are
+// exact assertions in tests/node_test.cpp and tests/net_test.cpp; the two
+// sections here each carry a cross-compiler-deterministic "parity" subtree
+// that bench_compare.py gates exactly:
 //
-//   (a) throughput and inclusion latency vs number of participants — prior
-//       work reports throughput roughly halving when participants double;
-//   (b) block interval vs PoW difficulty at fixed hash rate;
-//   (c) block propagation delay vs payload (model) size;
 //   (d) long-chain import/reorg scaling: per-import cost at height H must
 //       be flat (O(new work)), not grow with H — the regression axis for
-//       the chain-index overhaul, with a cross-compiler-deterministic
-//       "parity" subtree that bench_compare.py gates exactly;
-//   (e) peers-axis scaling past the 16-participant ceiling of (a): flood
-//       dissemination over the flat full mesh vs the hierarchical
-//       committee overlay (core/topology.hpp) at 16/64/256 peers, with a
-//       parity subtree of pure-integer topology facts.
-//
-// BCFL_CHAIN_BENCH_SECTIONS=long_chain,scaling (comma list of throughput,
-// difficulty, propagation, long_chain, scaling) restricts a run to the
-// named sections — CI runs only the deterministic axes.
+//       the chain-index overhaul;
+//   (e) peers-axis scaling: flood dissemination over the flat full mesh vs
+//       the hierarchical committee overlay (core/topology.hpp) at
+//       16/64/256 peers, with pure-integer topology facts as parity.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -33,132 +24,15 @@
 #include "core/topology.hpp"
 #include "crypto/keccak.hpp"
 #include "net/sim_transport.hpp"
-#include "node/node.hpp"
-#include "vm/registry_contract.hpp"
 
 namespace {
 
 using namespace bcfl;
-namespace abi = vm::registry_abi;
-
-bool section_enabled(const std::string& name) {
-    // getenv: the bench harness reads its section filter on the main
-    // thread during registration, before any benchmark (or engine worker)
-    // runs; nothing in the tree calls setenv.
-    const char* env =
-        std::getenv("BCFL_CHAIN_BENCH_SECTIONS");  // NOLINT(concurrency-mt-unsafe)
-    if (env == nullptr || *env == '\0') return true;
-    const std::string list(env);
-    std::size_t start = 0;
-    while (start <= list.size()) {
-        const std::size_t end = list.find(',', start);
-        const std::string token =
-            list.substr(start, end == std::string::npos ? std::string::npos
-                                                        : end - start);
-        if (token == name) return true;
-        if (end == std::string::npos) break;
-        start = end + 1;
-    }
-    return false;
-}
 
 double us_since(std::chrono::steady_clock::time_point begin) {
     return std::chrono::duration<double, std::micro>(
                std::chrono::steady_clock::now() - begin)
         .count();
-}
-
-struct ThroughputPoint {
-    std::size_t participants;
-    double txs_per_second;
-    double mean_inclusion_latency_s;
-    double mean_block_interval_s;
-};
-
-/// Saturates the chain with chunk transactions at a fixed *total* offered
-/// load and measures canonical throughput. Block capacity is bounded by the
-/// gas limit and every block must reach every peer over a shared 20 Mbit/s
-/// uplink, so doubling the participant count inflates propagation time,
-/// multiplies gossip copies and erodes effective throughput — the
-/// degradation SS II-A2 cites.
-ThroughputPoint measure_throughput(std::size_t participants,
-                                   std::size_t payload_bytes,
-                                   net::SimTime horizon) {
-    net::LinkParams link;
-    link.bytes_per_us = 2.5;   // 20 Mbit/s shared uplink
-    link.latency = net::ms(20);
-    net::SimTransport transport(link, 17);
-    chain::ChainConfig chain_config;
-    chain_config.initial_difficulty = 1200;
-    chain_config.min_difficulty = 64;
-    chain_config.target_interval_ms = 4000;
-    chain_config.block_gas_limit = 8'000'000;  // ~ a dozen chunk txs / block
-
-    std::vector<std::unique_ptr<node::Node>> nodes;
-    for (std::size_t i = 0; i < participants; ++i) {
-        node::NodeConfig config;
-        config.chain = chain_config;
-        config.key_seed = 100 + i;
-        config.hash_rate = 2400.0 / static_cast<double>(participants);
-        config.rng_seed = 50 + i;
-        nodes.push_back(std::make_unique<node::Node>(transport, config));
-    }
-    for (auto& node : nodes) node->start();
-
-    // Fixed total offered load: 4 chunk txs per second across all senders.
-    std::vector<std::uint64_t> nonces(participants, 0);
-    std::unordered_map<Hash32, net::SimTime, FixedBytesHasher> submit_time;
-    const Bytes payload(payload_bytes, 0x37);
-    const net::SimTime period =
-        net::seconds(1) * participants / 4;  // per-sender period
-    std::function<void(std::size_t)> spam = [&](std::size_t i) {
-        auto tx = chain::Transaction::make_signed(
-            nodes[i]->key(), nonces[i]++, vm::registry_address(),
-            21'000 + 16 * (payload.size() + 100) + 400'000, 1,
-            abi::chunk_calldata(1, nonces[i], payload));
-        submit_time[tx.hash()] = transport.now();
-        nodes[i]->submit_tx(tx);
-        if (transport.now() + period < horizon) {
-            transport.schedule_after(static_cast<net::NodeId>(i), period,
-                                     [&, i] { spam(i); });
-        }
-    };
-    for (std::size_t i = 0; i < participants; ++i) spam(i);
-    transport.run_until(horizon);
-
-    // Measure from node 0's canonical chain.
-    const auto& chain = nodes[0]->chain();
-    std::size_t mined = 0;
-    double latency_sum = 0.0;
-    std::size_t latency_samples = 0;
-    for (std::uint64_t n = 1; n <= chain.height(); ++n) {
-        const chain::Block* block = chain.block_by_number(n);
-        mined += block->transactions.size();
-        for (const auto& tx : block->transactions) {
-            const auto it = submit_time.find(tx.hash());
-            if (it == submit_time.end()) continue;
-            const double latency =
-                static_cast<double>(block->header.timestamp_ms) / 1000.0 -
-                net::to_seconds(it->second);
-            if (latency >= 0) {
-                latency_sum += latency;
-                ++latency_samples;
-            }
-        }
-    }
-
-    ThroughputPoint point;
-    point.participants = participants;
-    point.txs_per_second =
-        static_cast<double>(mined) / net::to_seconds(horizon);
-    point.mean_inclusion_latency_s =
-        latency_samples ? latency_sum / static_cast<double>(latency_samples)
-                        : 0.0;
-    point.mean_block_interval_s =
-        chain.height() > 0
-            ? net::to_seconds(horizon) / static_cast<double>(chain.height())
-            : 0.0;
-    return point;
 }
 
 /// E3d — grows a 512-block chain with steady tx traffic, recording the
@@ -368,7 +242,7 @@ FloodResult measure_flood(
     std::size_t origin, std::size_t payload_bytes) {
     net::LinkParams link;
     link.latency = net::ms(20);
-    link.bytes_per_us = 2.5;  // 20 Mbit/s shared uplink, as in E3a
+    link.bytes_per_us = 2.5;  // 20 Mbit/s shared uplink
     link.jitter_fraction = 0.0;
     net::SimTransport transport(link, 23);
 
@@ -407,10 +281,10 @@ FloodResult measure_flood(
     return result;
 }
 
-/// E3e — the participants axis past 16. E3a's full deployment saturates
-/// well before 64 peers because every model tx and block crosses a full
-/// mesh; this section isolates the dissemination cost at 16/64/256 peers
-/// and contrasts it with the hierarchical committee overlay the topology
+/// E3e — the participants axis. Every model tx and block of a flat
+/// deployment crosses a full mesh; this section isolates that
+/// dissemination cost at 16/64/256 peers and contrasts it with the
+/// hierarchical committee overlay the topology
 /// layer builds (heads mesh among themselves and fan out to their own
 /// members). All roster/edge/message counts and the adjacency digest are
 /// pure integer arithmetic — they form the gated "parity" subtree;
@@ -529,112 +403,12 @@ void BM_ChainPerformance(benchmark::State& state) {
     for (auto _ : state) {
         bench::Json json = bench::Json::object();
         json.set("bench", "chain_performance");
-        // The chain sections run the deterministic discrete-event loop,
-        // which is inherently single-threaded; wall time per section is
-        // recorded so the event-loop cost itself is tracked cross-PR (the
-        // parallel-engine speedups live in BENCH_micro_substrates.json).
-
-        bench::Json throughput_points = bench::Json::array();
-        if (section_enabled("throughput")) {
-            bench::print_title(
-                "E3a — throughput & inclusion latency vs participants "
-                "(64 KB chunk txs, saturated, 20 Mbit/s shared uplinks)");
-            std::printf("%12s %14s %22s %20s\n", "participants", "txs/s",
-                        "inclusion latency (s)", "block interval (s)");
-            const auto throughput_begin = std::chrono::steady_clock::now();
-            for (std::size_t n : {2, 4, 8, 16}) {
-                const ThroughputPoint p =
-                    measure_throughput(n, 64 * 1024, net::seconds(200));
-                std::printf("%12zu %14.3f %22.2f %20.2f\n", p.participants,
-                            p.txs_per_second, p.mean_inclusion_latency_s,
-                            p.mean_block_interval_s);
-                bench::Json point = bench::Json::object();
-                point.set("participants",
-                          static_cast<std::uint64_t>(p.participants));
-                point.set("txs_per_second", p.txs_per_second);
-                point.set("mean_inclusion_latency_s",
-                          p.mean_inclusion_latency_s);
-                point.set("mean_block_interval_s", p.mean_block_interval_s);
-                throughput_points.push(std::move(point));
-            }
-            json.set("throughput_wall_ms", bench::ms_since(throughput_begin));
-        }
-
-        bench::Json difficulty_points = bench::Json::array();
-        if (section_enabled("difficulty")) {
-            bench::print_title(
-                "E3b — block interval vs PoW difficulty (1 miner, 400 h/s, "
-                "retarget disabled)");
-            std::printf("%12s %20s %16s\n", "difficulty", "mean interval (s)",
-                        "blocks mined");
-            const auto difficulty_begin = std::chrono::steady_clock::now();
-            for (std::uint64_t difficulty : {200u, 400u, 800u, 1600u, 3200u}) {
-                net::SimTransport transport(net::LinkParams{}, 3);
-                node::NodeConfig config;
-                config.chain.initial_difficulty = difficulty;
-                config.chain.min_difficulty = difficulty;
-                config.chain.fixed_difficulty = true;
-                config.key_seed = 5;
-                config.hash_rate = 400.0;
-                node::Node node(transport, config);
-                node.start();
-                transport.run_until(net::seconds(2000));
-                const double interval =
-                    node.chain().height() > 0
-                        ? 2000.0 / static_cast<double>(node.chain().height())
-                        : 0.0;
-                std::printf(
-                    "%12llu %20.2f %16llu\n",
-                    static_cast<unsigned long long>(difficulty), interval,
-                    static_cast<unsigned long long>(node.chain().height()));
-                bench::Json point = bench::Json::object();
-                point.set("difficulty", difficulty);
-                point.set("mean_interval_s", interval);
-                point.set("blocks_mined", node.chain().height());
-                difficulty_points.push(std::move(point));
-            }
-            json.set("difficulty_wall_ms", bench::ms_since(difficulty_begin));
-        }
-
-        bench::Json propagation_points = bench::Json::array();
-        if (section_enabled("propagation")) {
-            bench::print_title(
-                "E3c — Figure 2 workflow: block propagation delay vs model "
-                "payload size (100 Mbit/s LAN)");
-            std::printf("%16s %24s\n", "payload (KB)",
-                        "propagation delay (ms)");
-            const auto propagation_begin = std::chrono::steady_clock::now();
-            for (std::size_t kb : {16u, 64u, 248u, 1024u, 4096u, 21'200u}) {
-                net::LinkParams link;
-                link.jitter_fraction = 0.0;
-                net::SimTransport transport(link, 5);
-                net::SimTime delivered = 0;
-                const auto a =
-                    transport.add_node([](net::NodeId, const Bytes&) {});
-                const auto b =
-                    transport.add_node([&](net::NodeId, const Bytes&) {
-                        delivered = transport.now();
-                    });
-                transport.send(a, b, Bytes(kb * 1024, 0x11));
-                // No miners: the queue drains.
-                transport.run([] { return false; }, net::kMaxDuration);
-                const double delay_ms =
-                    static_cast<double>(delivered) / 1000.0;
-                std::printf("%16zu %24.2f\n", kb, delay_ms);
-                bench::Json point = bench::Json::object();
-                point.set("payload_kb", static_cast<std::uint64_t>(kb));
-                point.set("propagation_delay_ms", delay_ms);
-                propagation_points.push(std::move(point));
-            }
-            json.set("propagation_wall_ms",
-                     bench::ms_since(propagation_begin));
-        }
-
-        json.set("throughput_points", std::move(throughput_points));
-        json.set("difficulty_points", std::move(difficulty_points));
-        json.set("propagation_points", std::move(propagation_points));
-        if (section_enabled("long_chain")) run_long_chain(json);
-        if (section_enabled("scaling")) run_scaling(json);
+        // Both sections are single-threaded; wall time per section is
+        // recorded so the chain and event-loop cost is tracked cross-PR
+        // (the parallel-engine speedups live in
+        // BENCH_micro_substrates.json).
+        run_long_chain(json);
+        run_scaling(json);
         bench::write_bench_json("chain_performance", json);
     }
 }

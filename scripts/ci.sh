@@ -36,9 +36,8 @@
 #    staleness, the E4 trade-off) run once each so the baseline gate can
 #    check them; the E4 EffNet sweep (21.2 MB payloads, minutes) runs only
 #    without --fast.
-# 5. Chain parity: the deterministic long-chain and peers-axis scaling
-#    sections of the chain bench run
-#    (BCFL_CHAIN_BENCH_SECTIONS=long_chain,scaling) so their counts and
+# 5. Chain parity: the chain bench runs whole (its long-chain and
+#    peers-axis scaling sections, no environment knob) so their counts and
 #    digests can be gated against the baseline.
 # 6. Analyzer parity: the vm_analysis bench section runs so its verdict
 #    table, analysis-cache hit counts and registry block-table digest can
@@ -181,8 +180,7 @@ for spec in "${paper_specs[@]}"; do
 done
 
 echo "== chain parity: deterministic long-chain + peers-axis scaling sections =="
-(cd build && BCFL_CHAIN_BENCH_SECTIONS=long_chain,scaling \
-  ./bench/chain_performance >/dev/null)
+(cd build && ./bench/chain_performance >/dev/null)
 
 echo "== analyzer parity: verdicts, cache hits, registry block-table digest =="
 (cd build && ./bench/micro_substrates --benchmark_filter=VmAnalysis >/dev/null)

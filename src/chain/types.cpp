@@ -197,8 +197,6 @@ Hash32 Block::compute_tx_root() const {
     return crypto::merkle_root(leaves);
 }
 
-std::size_t Block::wire_size() const { return encode().size(); }
-
 Bytes Block::encode() const {
     std::vector<rlp::Item> tx_items;
     tx_items.reserve(transactions.size());

@@ -145,8 +145,6 @@ struct Block {
     [[nodiscard]] Hash32 hash() const { return header.hash(); }
     /// Merkle root over transaction hashes.
     [[nodiscard]] Hash32 compute_tx_root() const;
-    /// Wire size in bytes (drives simulated propagation delay).
-    [[nodiscard]] std::size_t wire_size() const;
 
     [[nodiscard]] Bytes encode() const;
     static Block decode(BytesView wire);

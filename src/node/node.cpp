@@ -7,6 +7,12 @@
 
 namespace bcfl::node {
 
+namespace {
+/// Cap on the real nonce search when sealing a block: a safety valve for a
+/// difficulty that outruns it (on_block_found backs off and retries).
+constexpr std::uint64_t kMaxSealAttempts = 50'000'000;
+}  // namespace
+
 vm::WorldState Node::genesis_state() {
     vm::WorldState state;
     state.deploy(vm::registry_address(), vm::registry_bytecode());
@@ -291,7 +297,7 @@ void Node::on_block_found(std::uint64_t generation) {
         pool_.select(config_.chain.block_gas_limit, chain_->account_nonces());
     chain::Block block = chain_->build_block(key_.address(), txs, timestamp);
     const auto nonce =
-        chain::mine_seal(block.header, rng_.next_u64(), config_.max_seal_attempts);
+        chain::mine_seal(block.header, rng_.next_u64(), kMaxSealAttempts);
     if (!nonce.has_value()) {
         // Difficulty outran the safety cap; back off and retry.
         schedule_mining();

@@ -32,8 +32,6 @@ struct NodeConfig {
     double hash_rate = 200.0;  // hashes/second, drives simulated mining time
     bool mine = true;
     std::uint64_t rng_seed = 7;
-    /// Cap on real nonce-search effort when sealing (safety valve).
-    std::uint64_t max_seal_attempts = 50'000'000;
     /// Gossip overlay: when non-empty, this node's broadcasts go only to
     /// the listed peers (flood-with-dedup over the overlay graph) instead
     /// of the full mesh. Hierarchical deployments (core/topology.hpp) use

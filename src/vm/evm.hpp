@@ -63,7 +63,8 @@ public:
     CallResult call(WorldState& state, const CallContext& ctx) const;
 
     /// Read-only call: storage writes are always dropped (web3 `eth_call`
-    /// equivalent, used by the FL layer for view functions).
+    /// equivalent). `Node::call_view` is its one caller in the node; the FL
+    /// layer reads registry events and calldata, never a view function.
     CallResult static_call(const WorldState& state,
                            const CallContext& ctx) const;
 

@@ -122,6 +122,53 @@ TEST(SimTransportNetwork, BandwidthDelaysLargeMessages) {
     drain(transport);
     EXPECT_EQ(small_time, 10u);
     EXPECT_EQ(big_time, 10'000u);
+
+    // The Fig. 2 workflow (E3c): a model crosses the default 100 Mbit/s
+    // LAN as block payload and lands at latency + floor(size / bandwidth),
+    // here 5'000 + floor(KiB * 1024 / 12.5) us.
+    const struct {
+        std::size_t kib;
+        SimTime lands_at;
+    } payloads[] = {{16, 6'310},    {64, 10'242},    {248, 25'316},
+                    {1024, 88'886}, {4096, 340'544}, {21'200, 1'741'704}};
+    for (const auto& [kib, lands_at] : payloads) {
+        LinkParams lan;
+        lan.jitter_fraction = 0.0;
+        SimTransport lan_transport(lan);
+        SimTime delivered = 0;
+        const NodeId from = lan_transport.add_node([](NodeId, const Bytes&) {});
+        const NodeId to = lan_transport.add_node(
+            [&](NodeId, const Bytes&) { delivered = lan_transport.now(); });
+        lan_transport.send(from, to, Bytes(kib * 1024, 0));
+        drain(lan_transport);
+        EXPECT_EQ(delivered, lands_at) << kib << " KiB";
+    }
+}
+
+TEST(SimTransportNetwork, SharedUplinkSerializesABroadcast) {
+    // 100'000 bytes take floor(100'000 / 12.5) = 8'000 us on the default
+    // LAN. Behind one shared NIC the i-th copy of a broadcast lands at
+    // 5'000 + i * 8'000 us; unshared, every copy lands at 13'000 us.
+    for (const bool shared : {true, false}) {
+        LinkParams lan;
+        lan.jitter_fraction = 0.0;
+        lan.shared_uplink = shared;
+        SimTransport transport(lan);
+        std::vector<SimTime> arrivals;
+        const NodeId sender = transport.add_node([](NodeId, const Bytes&) {});
+        for (int i = 0; i < 5; ++i) {
+            transport.add_node([&](NodeId, const Bytes&) {
+                arrivals.push_back(transport.now());
+            });
+        }
+        transport.broadcast(sender, Bytes(100'000, 0));
+        drain(transport);
+        const std::vector<SimTime> expected =
+            shared ? std::vector<SimTime>{13'000, 21'000, 29'000, 37'000,
+                                          45'000}
+                   : std::vector<SimTime>(5, 13'000);
+        EXPECT_EQ(arrivals, expected) << "shared_uplink=" << shared;
+    }
 }
 
 TEST(SimTransportNetwork, BroadcastReachesAllButSender) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -137,28 +139,57 @@ TEST_F(NodeNetworkTest, ChunkedModelPublishes) {
 }
 
 TEST_F(NodeNetworkTest, ComputeLoadSlowsMining) {
-    // Single miner (others off) to isolate the effect.
-    nodes_[1]->set_compute_load(0.0);
-    NodeConfig solo_config;
-    solo_config.chain.initial_difficulty = 600;
-    solo_config.chain.min_difficulty = 600;
-    solo_config.chain.fixed_difficulty = true;
-
-    // Run two isolated single-node simulations: idle vs loaded miner.
-    const auto run_blocks = [&](double load) {
-        net::SimTransport transport(net::LinkParams{}, 9);
-        NodeConfig config = solo_config;
-        config.key_seed = 77;
-        config.hash_rate = 300.0;
+    // The block-interval law of one fixed-difficulty miner that also
+    // trains (E3b's difficulty grid, E5a's load grid): the mean interval
+    // is mu = D / (H * (1 - L)). Every point shares one seed and so draws
+    // the same uniforms u_i, and Node::schedule_mining makes each interval
+    // floor(-mu * ln(u_i) * 1e6) + 1 us: the mean interval over mu is one
+    // number r at every point, up to 1 us / mu.
+    constexpr double kHashRate = 400.0;
+    constexpr std::uint64_t kBlocks = 400;
+    const struct {
+        std::uint64_t difficulty;
+        double load;  // set_compute_load clamps 1.0 to 0.999
+    } grid[] = {{200, 0.0},  {400, 0.0},  {800, 0.0},  {1600, 0.0},
+                {3200, 0.0}, {800, 0.25}, {800, 0.5},  {800, 0.75},
+                {800, 0.9},  {800, 1.0}};
+    std::vector<double> mus;
+    std::vector<double> ratios;
+    for (const auto& [difficulty, load] : grid) {
+        net::SimTransport transport(net::LinkParams{}, /*seed=*/3);
+        NodeConfig config;
+        config.chain.initial_difficulty = difficulty;
+        config.chain.min_difficulty = difficulty;
+        config.chain.fixed_difficulty = true;
+        config.key_seed = 21;
+        config.hash_rate = kHashRate;
         Node node(transport, config);
         node.set_compute_load(load);
+        std::uint64_t heads = 0;
+        net::SimTime last_head = 0;
+        node.on_new_head([&](const chain::Block&) {
+            ++heads;
+            last_head = transport.now();
+        });
         node.start();
-        transport.run_until(net::seconds(600));
-        return node.chain().height();
-    };
-    const auto idle_height = run_blocks(0.0);
-    const auto busy_height = run_blocks(0.9);
-    EXPECT_GT(idle_height, busy_height * 3);
+        transport.run([&] { return heads >= kBlocks; }, net::kMaxDuration);
+        ASSERT_EQ(heads, kBlocks);
+        const double mu = static_cast<double>(difficulty) /
+                          (kHashRate * (1.0 - std::min(load, 0.999)));
+        mus.push_back(mu);
+        ratios.push_back(net::to_seconds(last_head) / kBlocks / mu);
+    }
+    for (std::size_t a = 0; a < ratios.size(); ++a) {
+        for (std::size_t b = a + 1; b < ratios.size(); ++b) {
+            EXPECT_LE(std::abs(ratios[a] - ratios[b]),
+                      1e-6 / std::min(mus[a], mus[b]))
+                << "points " << a << " and " << b;
+        }
+    }
+    // r is the mean of kBlocks unit exponentials: three standard
+    // deviations of that mean.
+    EXPECT_LE(std::abs(ratios[0] - 1.0),
+              3.0 / std::sqrt(static_cast<double>(kBlocks)));
 }
 
 TEST(NodeSingle, ViewCallAtGenesis) {
